@@ -20,8 +20,8 @@ from fuzzysoft import (
     default_variable_specs,
     evaluate,
     fuzzify_cohort,
+    product_n,
     scores,
-    score_pipeline,
 )
 from fuzzysoft.fixtures import GROUND_TRUTH, published_product_table
 
@@ -37,12 +37,13 @@ for oid in report.universe:
     print(f"  {oid:>6}  row {r:4d}  column {t:4d}  score {s:5d}  -> {predictions[oid]}")
 print(f"accuracy against the ground-truth split: {accuracy:.2f}")
 
-# The recomputed route: fuzzify, product, compare, score, classify in one call.
+# The recomputed route: fuzzify, then product, compare, score and classify.
 specs = default_variable_specs()
 sets = fuzzify_cohort(builtin_table1(), specs)
-recomputed = score_pipeline(sets, combiner="max", mode="count", threshold=0.0)
+recomputed = scores(comparison_table(product_n(sets, combiner="max"), mode="count"))
+recomputed_predictions = classify(recomputed, threshold=0.0)
 labels = {r.id: r.label for r in builtin_table1()}
 print(f"\nrecomputed product ({recomputed.parameter_count} columns) instead:")
 for oid in recomputed.universe:
-    print(f"  {oid:>6}  score {recomputed.score(oid):6d}  -> {recomputed.predictions[oid]}")
-print(f"accuracy: {evaluate(recomputed.predictions, labels):.2f}")
+    print(f"  {oid:>6}  score {recomputed.score(oid):6d}  -> {recomputed_predictions[oid]}")
+print(f"accuracy: {evaluate(recomputed_predictions, labels):.2f}")

@@ -39,7 +39,6 @@ from .scoring import (
     evaluate,
     format_report_text,
     report_to_csv,
-    score_pipeline,
     scores,
 )
 from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv, select_samples
@@ -90,7 +89,6 @@ __all__ = [
     "scores",
     "classify",
     "evaluate",
-    "score_pipeline",
     "report_to_csv",
     "format_report_text",
     "DatasetSchema",

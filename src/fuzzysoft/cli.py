@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: fuzzify, reduce, product, score, run, curves, verify. Exit codes:
+Subcommands: run, curves, verify. Exit codes:
 0 success, 1 configuration error, 2 data error, 3 internal invariant
 violation. ``verify`` additionally exits 1 when a hard fixture check fails.
 """
@@ -11,7 +11,11 @@ import sys
 
 from . import __version__
 from .errors import ConfigError, DataError, FuzzySoftError, InternalError
-from .pipeline import BUILTIN_SOURCE, PipelineConfig, emit_curves, run_pipeline
+from .pipeline import (
+    BUILTIN_SOURCE, PRODUCT_SOURCES, REDUCTIONS, PipelineConfig, emit_curves, run_pipeline,
+)
+from .scoring import MODES
+from .softset import COMBINERS
 from .variables import default_variable_specs, load_variable_specs
 from .verify import verify_fixtures
 
@@ -28,58 +32,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--data",
-        default=BUILTIN_SOURCE,
-        help=f"CSV path, or '{BUILTIN_SOURCE}' for the built-in cohort (default)",
-    )
-    parser.add_argument("--spec", default=None, help="variable definitions JSON (default: built-in)")
-    parser.add_argument("--combiner", choices=["max", "min"], default="max",
-                        help="product combiner (default: max, as published)")
-    parser.add_argument("--mode", choices=["count", "difference"], default="count",
-                        help="comparison mode (default: count, as published)")
-    parser.add_argument("--reduction", choices=["per-variable", "off"], default="per-variable",
-                        help="normal parameter reduction (default: per-variable)")
-    parser.add_argument("--threshold", type=float, default=0.0,
-                        help="risk threshold on scores (default: 0)")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument("--round", type=int, default=2, dest="round_digits",
-                        help="display rounding for text reports (default: 2)")
-    parser.add_argument("--product-source", choices=["auto", "published", "computed"],
-                        default="auto", dest="product_source",
-                        help="score the published 72-column product table or a recomputed one "
-                             "(default: auto = published for the study-faithful configuration)")
-
-
-def _config(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        data_source=args.data,
-        spec_path=args.spec,
-        combiner=args.combiner,
-        mode=args.mode,
-        reduction=args.reduction,
-        threshold=args.threshold,
-        out_dir=args.out,
-        round_digits=args.round_digits,
-        product_source=args.product_source,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fuzzysoft", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fuzzysoft {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for name, help_text in [
-        ("fuzzify", "write the per-variable fuzzy soft sets and the errata report"),
-        ("reduce", "write the per-variable reduction summary"),
-        ("product", "write the product table that would be scored"),
-        ("score", "write the comparison table and score report"),
-        ("run", "run the full pipeline and write every output"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    p = sub.add_parser("run", help="run the full pipeline and write every output")
+    p.add_argument(
+        "--data",
+        default=BUILTIN_SOURCE,
+        help=f"CSV path, or '{BUILTIN_SOURCE}' for the built-in cohort (default)",
+    )
+    p.add_argument("--spec", default=None, help="variable definitions JSON (default: built-in)")
+    p.add_argument("--combiner", choices=COMBINERS, default="max",
+                   help="product combiner (default: max, as published)")
+    p.add_argument("--mode", choices=MODES, default="count",
+                   help="comparison mode (default: count, as published)")
+    p.add_argument("--reduction", choices=REDUCTIONS, default="per-variable",
+                   help="normal parameter reduction (default: per-variable)")
+    p.add_argument("--threshold", type=float, default=0.0,
+                   help="risk threshold on scores (default: 0)")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
+    p.add_argument("--round", type=int, default=2, dest="round_digits",
+                   help="display rounding for text reports (default: 2)")
+    p.add_argument("--product-source", choices=PRODUCT_SOURCES, default="auto", dest="product_source",
+                   help="score the published 72-column product table or a recomputed one "
+                        "(default: auto = published for the study-faithful configuration)")
 
     p = sub.add_parser("curves", help="write plot-ready membership-curve samples per variable")
     p.add_argument("--spec", default=None, help="variable definitions JSON (default: built-in)")
@@ -108,22 +86,25 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {files[name]}")
             return EXIT_OK
 
-        result = run_pipeline(_config(args))
-        wanted = {
-            "fuzzify": ["fuzzy_", "errata.csv"],
-            "reduce": ["reduction.txt"],
-            "product": ["product.csv"],
-            "score": ["comparison.csv", "scores.csv", "report.txt"],
-            "run": [""],
-        }[args.command]
+        result = run_pipeline(
+            PipelineConfig(
+                data_source=args.data,
+                spec_path=args.spec,
+                combiner=args.combiner,
+                mode=args.mode,
+                reduction=args.reduction,
+                threshold=args.threshold,
+                out_dir=args.out,
+                round_digits=args.round_digits,
+                product_source=args.product_source,
+            )
+        )
         for name in sorted(result.files):
-            if any(name.startswith(w) or name == w for w in wanted):
-                print(f"wrote {result.files[name]}")
-        if args.command in ("score", "run"):
-            print(f"product source: {result.product_source_used} "
-                  f"({result.product_parameters} parameters)")
-            if result.accuracy is not None:
-                print(f"accuracy: {result.accuracy:.2f}")
+            print(f"wrote {result.files[name]}")
+        print(f"product source: {result.product_source_used} "
+              f"({result.report.parameter_count} parameters)")
+        if result.accuracy is not None:
+            print(f"accuracy: {result.accuracy:.2f}")
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

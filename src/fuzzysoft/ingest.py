@@ -3,8 +3,8 @@
 The expected file layout is the Coimbra breast-cancer dataset from the UCI
 Machine Learning Repository: a header row, comma delimiter, UTF-8, with
 columns Age, BMI, Glucose, Insulin, HOMA, Leptin, Adiponectin, Resistin,
-MCP.1 and Classification (1 = healthy control, 2 = patient). Only the five
-modeled measurements and the class column are read; the rest are ignored.
+MCP.1 and Classification (1 = healthy control, 2 = patient). Only the columns
+the variable specs name and the class column are read; the rest are ignored.
 Column names and label codes are remappable through ``DatasetSchema``.
 """
 from __future__ import annotations
@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DataError
-from .variables import HEALTHY_CONTROL, PATIENT, PatientRecord
+from .variables import HEALTHY_CONTROL, PATIENT, PatientRecord, VariableSpec, default_variable_specs
 
 __all__ = [
-    "MEASUREMENT_COLUMNS",
     "DatasetSchema",
     "DEFAULT_SCHEMA",
     "load_csv",
@@ -25,27 +24,30 @@ __all__ = [
     "builtin_table1",
 ]
 
-MEASUREMENT_COLUMNS = ("Age", "BMI", "Insulin", "Leptin", "Adiponectin")
+LABEL_COLUMN = "Classification"
 
 OBJECT_ID_PREFIX = "μ_"  # mu, matching the study's sample subscripts
 
 
 @dataclass(frozen=True)
 class DatasetSchema:
-    """Maps canonical column names and label codes onto a source file's headers."""
+    """Maps canonical column names and label codes onto a source file's headers.
 
+    A canonical name missing from ``column_map`` is read from the header of
+    the same name.
+    """
+
+    # The identity entries change nothing that is read, but the config hash
+    # covers this map, so the default keeps them.
     column_map: dict[str, str] = field(
-        default_factory=lambda: {c: c for c in MEASUREMENT_COLUMNS + ("Classification",)}
+        default_factory=lambda: {
+            c: c for c in ("Age", "BMI", "Insulin", "Leptin", "Adiponectin", LABEL_COLUMN)
+        }
     )
     label_encoding: dict[str, str] = field(
         default_factory=lambda: {"1": HEALTHY_CONTROL, "2": PATIENT}
     )
     id_column: str | None = None  # None: ids are mu_<row position>, 1-based
-
-    def __post_init__(self) -> None:
-        missing = [c for c in MEASUREMENT_COLUMNS + ("Classification",) if c not in self.column_map]
-        if missing:
-            raise ValueError(f"schema must map all of {missing}")
 
 
 DEFAULT_SCHEMA = DatasetSchema()
@@ -68,12 +70,19 @@ def _parse_measurement(cell: str, row: int, column: str) -> float:
     return value
 
 
-def load_csv(path, schema: DatasetSchema = DEFAULT_SCHEMA) -> list[PatientRecord]:
+def load_csv(
+    path, schema: DatasetSchema = DEFAULT_SCHEMA, specs: Sequence[VariableSpec] | None = None
+) -> list[PatientRecord]:
     """Read patient records from a CSV file, in file order.
 
-    Object IDs are mu_1 ... mu_n by 1-based data-row position unless the schema
-    names an explicit ID column. Parse failures name the row and column.
+    Each record holds the measurement columns ``specs`` name (default: the
+    built-in variables) and the class label. Object IDs are mu_1 ... mu_n by
+    1-based data-row position unless the schema names an explicit ID column,
+    whose values must be unique. Parse failures name the row and column.
     """
+    if specs is None:
+        specs = default_variable_specs()
+    columns = list(dict.fromkeys(s.column for s in specs))
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -84,7 +93,8 @@ def load_csv(path, schema: DatasetSchema = DEFAULT_SCHEMA) -> list[PatientRecord
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     index: dict[str, int] = {}
-    for canonical, source in schema.column_map.items():
+    for canonical in columns + [LABEL_COLUMN]:
+        source = schema.column_map.get(canonical, canonical)
         if source not in header:
             raise DataError(f"{path}: missing header column {source!r}")
         index[canonical] = header.index(source)
@@ -95,20 +105,23 @@ def load_csv(path, schema: DatasetSchema = DEFAULT_SCHEMA) -> list[PatientRecord
         id_index = header.index(schema.id_column)
 
     records = []
+    seen_ids: set[str] = set()
     for pos, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {pos} has {len(row)} cells, expected {len(header)}")
         measurements = {
-            col: _parse_measurement(row[index[col]], pos, schema.column_map[col])
-            for col in MEASUREMENT_COLUMNS
+            col: _parse_measurement(row[index[col]], pos, header[index[col]]) for col in columns
         }
-        raw_label = row[index["Classification"]].strip()
+        raw_label = row[index[LABEL_COLUMN]].strip()
         if raw_label not in schema.label_encoding:
             raise DataError(
                 f"{path}: row {pos}: unknown label value {raw_label!r} "
                 f"(expected one of {sorted(schema.label_encoding)})"
             )
         oid = row[id_index].strip() if id_index is not None else f"{OBJECT_ID_PREFIX}{pos}"
+        if oid in seen_ids:
+            raise DataError(f"{path}: row {pos}: duplicate object ID {oid!r}")
+        seen_ids.add(oid)
         records.append(
             PatientRecord(id=oid, measurements=measurements, label=schema.label_encoding[raw_label])
         )

@@ -31,6 +31,7 @@ from .errors import ConfigError, DataError, InternalError
 from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv
 from .reduction import find_reductions
 from .scoring import (
+    MODES,
     ScoreReport,
     classify,
     comparison_table,
@@ -39,7 +40,7 @@ from .scoring import (
     report_to_csv,
     scores,
 )
-from .softset import product_n, restrict, to_table
+from .softset import COMBINERS, product_n, restrict, to_table
 from .variables import (
     VariableSpec,
     default_variable_specs,
@@ -48,14 +49,15 @@ from .variables import (
     load_variable_specs,
 )
 
-__all__ = ["BUILTIN_SOURCE", "PipelineConfig", "RunResult", "run_pipeline", "emit_curves"]
+__all__ = [
+    "BUILTIN_SOURCE", "REDUCTIONS", "PRODUCT_SOURCES", "PipelineConfig", "RunResult", "run_pipeline",
+    "emit_curves",
+]
 
 BUILTIN_SOURCE = "builtin-table1"
 
-_COMBINERS = ("max", "min")
-_MODES = ("count", "difference")
-_REDUCTIONS = ("per-variable", "off")
-_PRODUCT_SOURCES = ("auto", "published", "computed")
+REDUCTIONS = ("per-variable", "off")
+PRODUCT_SOURCES = ("auto", "published", "computed")
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,14 @@ class PipelineConfig:
     product_source: str = "auto"
 
     def validate(self) -> None:
-        if self.combiner not in _COMBINERS:
-            raise ConfigError(f"combiner must be one of {_COMBINERS}, got {self.combiner!r}")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.reduction not in _REDUCTIONS:
-            raise ConfigError(f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}")
-        if self.product_source not in _PRODUCT_SOURCES:
-            raise ConfigError(
-                f"product source must be one of {_PRODUCT_SOURCES}, got {self.product_source!r}"
-            )
+        for what, value, allowed in (
+            ("combiner", self.combiner, COMBINERS),
+            ("mode", self.mode, MODES),
+            ("reduction", self.reduction, REDUCTIONS),
+            ("product source", self.product_source, PRODUCT_SOURCES),
+        ):
+            if value not in allowed:
+                raise ConfigError(f"{what} must be one of {tuple(allowed)}, got {value!r}")
         if not (self.threshold == self.threshold and abs(self.threshold) != float("inf")):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
         if self.round_digits < 0:
@@ -119,18 +119,32 @@ class RunResult:
     report: ScoreReport
     accuracy: float | None
     product_source_used: str
-    product_parameters: int
-    config_hash: str
     files: dict[str, Path]
 
 
-def _study_faithful(cfg: PipelineConfig) -> bool:
-    return (
-        cfg.data_source == BUILTIN_SOURCE
-        and cfg.spec_path is None
-        and cfg.combiner == "max"
-        and cfg.mode == "count"
-    )
+def _product_source(cfg: PipelineConfig) -> str:
+    """The product source a run scores, with "auto" resolved."""
+    builtin_inputs = cfg.data_source == BUILTIN_SOURCE and cfg.spec_path is None
+    if cfg.product_source == "published" and not builtin_inputs:
+        raise ConfigError(
+            "product source 'published' requires the built-in cohort and default variables"
+        )
+    if cfg.product_source != "auto":
+        return cfg.product_source
+    study_faithful = builtin_inputs and cfg.combiner == "max" and cfg.mode == "count"
+    return "published" if study_faithful else "computed"
+
+
+def _prepare_out_dir(out_dir: str | os.PathLike) -> Path:
+    """Create ``out_dir`` if needed and check it is writable."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    if not os.access(out, os.W_OK):
+        raise ConfigError(f"output directory {out} is not writable")
+    return out
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -143,24 +157,18 @@ def _atomic_write(path: Path, content: str) -> None:
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the configured pipeline and write all outputs atomically."""
     cfg.validate()
-    footer = f"# config={cfg.hash()} version={__version__}\n"
+    config_hash = cfg.hash()
+    footer = f"# config={config_hash} version={__version__}\n"
+    out_dir = _prepare_out_dir(cfg.out_dir)
 
-    out_dir = Path(cfg.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    if not os.access(out_dir, os.W_OK):
-        raise ConfigError(f"output directory {out_dir} is not writable")
-
-    # Ingest and fuzzify.
+    # Ingest the columns the variables name, and fuzzify.
+    specs = default_variable_specs() if cfg.spec_path is None else load_variable_specs(cfg.spec_path)
     if cfg.data_source == BUILTIN_SOURCE:
         records = builtin_table1()
     else:
-        records = load_csv(cfg.data_source, cfg.schema)
+        records = load_csv(cfg.data_source, cfg.schema, specs)
         if not records:
             raise DataError(f"{cfg.data_source}: no data rows")
-    specs = default_variable_specs() if cfg.spec_path is None else load_variable_specs(cfg.spec_path)
     var_sets = fuzzify_cohort(records, specs)
 
     # Errata against the published per-variable tables, where comparable.
@@ -181,7 +189,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     if cfg.reduction == "per-variable":
         reduced_sets = []
         for spec, s in zip(specs, var_sets):
-            results = find_reductions(s)
+            try:
+                results = find_reductions(s)
+            except ValueError as exc:  # the search refuses variables over its parameter cap
+                raise ConfigError(f"{spec.name}: {exc}; run with reduction off") from exc
             if not results:
                 raise InternalError(f"no reduction found for {spec.name}; full set should qualify")
             best = results[0]
@@ -196,15 +207,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         reduction_lines.append("reduction off: all parameters kept")
 
     # Product stage.
-    if cfg.product_source == "published" and not (
-        cfg.data_source == BUILTIN_SOURCE and cfg.spec_path is None
-    ):
-        raise ConfigError(
-            "product source 'published' requires the built-in cohort and default variables"
-        )
-    source_used = cfg.product_source
-    if source_used == "auto":
-        source_used = "published" if _study_faithful(cfg) else "computed"
+    source_used = _product_source(cfg)
     if source_used == "published":
         prod = fixtures.published_product_table()
     else:
@@ -260,7 +263,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         "product_parameters": report.parameter_count,
         "accuracy": accuracy,
         "outputs": sorted(contents) + ["manifest.json"],
-        "config_hash": cfg.hash(),
+        "config_hash": config_hash,
         "version": __version__,
     }
     contents["manifest.json"] = json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
@@ -274,14 +277,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
 
-    return RunResult(
-        report=report,
-        accuracy=accuracy,
-        product_source_used=source_used,
-        product_parameters=report.parameter_count,
-        config_hash=cfg.hash(),
-        files=files,
-    )
+    return RunResult(report=report, accuracy=accuracy, product_source_used=source_used, files=files)
 
 
 def emit_curves(
@@ -299,13 +295,7 @@ def emit_curves(
         raise ConfigError(f"samples per curve must be at least 2, got {samples_per_curve}")
     if specs is None:
         specs = default_variable_specs()
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    if not os.access(out, os.W_OK):
-        raise ConfigError(f"output directory {out} is not writable")
+    out = _prepare_out_dir(out_dir)
 
     files = {}
     for spec in specs:

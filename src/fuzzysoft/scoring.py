@@ -8,16 +8,17 @@ row sum minus its column sum; higher scores rank as higher risk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from .softset import FuzzySoftSet, product_n
+from .softset import FuzzySoftSet
 from .variables import HEALTHY_CONTROL, PATIENT
 
 __all__ = [
     "COMPARISON_EPSILON",
+    "MODES",
     "HIGH_RISK",
     "HEALTHY",
     "ComparisonTable",
@@ -26,7 +27,6 @@ __all__ = [
     "scores",
     "classify",
     "evaluate",
-    "score_pipeline",
     "report_to_csv",
     "format_report_text",
 ]
@@ -34,6 +34,9 @@ __all__ = [
 # Degrees come from exact piecewise-linear arithmetic, so true ties are common
 # (many 1.0 cells); the epsilon keeps float ties counting as ties.
 COMPARISON_EPSILON = 1e-9
+
+# Comparison-table modes: count tallies parameters won, difference sums degree gaps.
+MODES = ("count", "difference")
 
 HIGH_RISK = "high-risk"
 HEALTHY = "healthy"
@@ -56,8 +59,8 @@ class ComparisonTable:
         counts = np.ascontiguousarray(self.counts)
         if counts.shape != (n, n):
             raise ValueError(f"comparison table must be {n}x{n}, got {counts.shape}")
-        if self.mode not in ("count", "difference"):
-            raise ValueError(f"mode must be 'count' or 'difference', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -99,13 +102,13 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
     """
     if not s.universe or not s.parameters:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     d = s.degrees
     if mode == "count":
         counts = (d[:, None, :] >= d[None, :, :] - COMPARISON_EPSILON).sum(axis=2).astype(np.int64)
-    elif mode == "difference":
-        counts = (d[:, None, :] - d[None, :, :]).sum(axis=2)
     else:
-        raise ValueError(f"mode must be 'count' or 'difference', got {mode!r}")
+        counts = (d[:, None, :] - d[None, :, :]).sum(axis=2)
     return ComparisonTable(s.universe, counts, mode, parameter_count=len(s.parameters))
 
 
@@ -143,22 +146,6 @@ def evaluate(predictions: Mapping[str, str], labels: Mapping[str, str]) -> float
         1 for oid, label in labels.items() if predictions[oid] == _PREDICTION_FOR_LABEL.get(label)
     )
     return correct / len(labels)
-
-
-def score_pipeline(
-    sets: Sequence[FuzzySoftSet],
-    combiner: str = "max",
-    mode: str = "count",
-    threshold: float = 0.0,
-) -> ScoreReport:
-    """Product the input sets, build the comparison table, score and classify.
-
-    Returns the full report; ``parameter_count`` records how many product
-    parameters the intermediate set had.
-    """
-    prod = product_n(sets, combiner)
-    report = scores(comparison_table(prod, mode))
-    return replace(report, predictions=classify(report, threshold))
 
 
 def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) -> str:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
+    "COMBINERS",
     "FuzzySoftSet",
     "product",
     "product_n",
@@ -33,9 +34,10 @@ __all__ = [
 
 PRODUCT_SEPARATOR = "×"  # multiplication sign, joins parameter labels
 
-_COMBINERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "min": np.minimum,
+# Product combiners by name: max is what the study applied, min the classical AND.
+COMBINERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "max": np.maximum,
+    "min": np.minimum,
 }
 
 
@@ -103,9 +105,9 @@ def product(a: FuzzySoftSet, b: FuzzySoftSet, combiner: str = "max") -> FuzzySof
     """
     _check_same_universe(a, b)
     try:
-        combine = _COMBINERS[combiner]
+        combine = COMBINERS[combiner]
     except KeyError:
-        raise ValueError(f"combiner must be one of {sorted(_COMBINERS)}, got {combiner!r}") from None
+        raise ValueError(f"combiner must be one of {list(COMBINERS)}, got {combiner!r}") from None
     labels = tuple(
         f"{pa}{PRODUCT_SEPARATOR}{pb}" for pa in a.parameters for pb in b.parameters
     )

@@ -74,6 +74,11 @@ class VariableSpec:
         codes = [p.code for p in self.partitions]
         if len(set(codes)) != len(codes):
             raise ValueError(f"variable {self.name!r} has duplicate partition codes: {codes}")
+        lo, hi = self.display_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(
+                f"variable {self.name!r} needs a finite display range lo < hi, got {self.display_range}"
+            )
 
     @property
     def codes(self) -> list[str]:
@@ -194,29 +199,24 @@ def fuzzify_cohort(
 
     Row order follows the input records; parameter labels are the qualified
     per-variable labels. A record landing outside every partition's support is
-    legal (an all-zero row) but logged as a warning.
+    legal (an all-zero row); each variable logs one warning counting them.
     """
+    universe = tuple(r.id for r in records)
     sets = []
     for spec in specs:
-        degrees = np.zeros((len(records), len(spec.partitions)))
-        for i, rec in enumerate(records):
-            if spec.column not in rec.measurements:
-                raise DataError(f"record {rec.id!r} has no {spec.column!r} measurement")
-            x = rec.measurements[spec.column]
-            for j, part in enumerate(spec.partitions):
-                degrees[i, j] = part.mf.evaluate(x)
-            if len(records) and degrees[i].max() == 0.0:
-                log.warning(
-                    "record %s: %s=%s lies outside every %s partition (all degrees zero)",
-                    rec.id, spec.column, x, spec.name,
-                )
-        sets.append(
-            FuzzySoftSet(
-                universe=tuple(r.id for r in records),
-                parameters=tuple(spec.labels),
-                degrees=degrees,
+        missing = next((r.id for r in records if spec.column not in r.measurements), None)
+        if missing is not None:
+            raise DataError(f"record {missing!r} has no {spec.column!r} measurement")
+        xs = np.array([r.measurements[spec.column] for r in records], dtype=float)
+        degrees = np.column_stack([p.mf.evaluate_many(xs) for p in spec.partitions])
+        outside = [universe[i] for i in np.flatnonzero(degrees.max(axis=1) == 0.0)]
+        if outside:
+            log.warning(
+                "%d record(s) have %s outside every %s partition (all degrees zero): %s%s",
+                len(outside), spec.column, spec.name, ", ".join(outside[:5]),
+                ", ..." if len(outside) > 5 else "",
             )
-        )
+        sets.append(FuzzySoftSet(universe=universe, parameters=tuple(spec.labels), degrees=degrees))
     return sets
 
 

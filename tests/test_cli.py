@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from fuzzysoft import specs_to_json, default_variable_specs
-from fuzzysoft.cli import main
+from fuzzysoft import DatasetSchema, pipeline, specs_to_json, default_variable_specs
+from fuzzysoft.cli import build_parser, main
+from fuzzysoft.scoring import MODES
+from fuzzysoft.softset import COMBINERS
 
 MU = "μ_"
 
@@ -16,6 +18,10 @@ def run_cli(*argv):
 
 def read_bytes_tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def _empty_or_absent(path: Path) -> bool:
+    return not path.exists() or list(path.iterdir()) == []
 
 
 def test_run_defaults_reports_published_accuracy(tmp_path, capsys):
@@ -123,12 +129,12 @@ def test_failed_run_leaves_no_partial_outputs(tmp_path, csv_116):
         "run", "--out", str(out), "--data", str(csv_116), "--product-source", "published",
     )
     assert code == 1
-    assert not out.exists() or list(out.iterdir()) == []
+    assert _empty_or_absent(out)
 
 
-def test_fuzzify_subcommand_writes_tables_and_errata(tmp_path, capsys):
+def test_run_writes_tables_and_errata(tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli("fuzzify", "--out", str(out)) == 0
+    assert run_cli("run", "--out", str(out)) == 0
     stdout = capsys.readouterr().out
     assert "fuzzy_AGE.csv" in stdout and "errata.csv" in stdout
     with open(out / "errata.csv", encoding="utf-8") as fh:
@@ -143,9 +149,9 @@ def test_fuzzify_subcommand_writes_tables_and_errata(tmp_path, capsys):
     assert not any(r[0] in ("AGE", "ADP") for r in rows[1:])
 
 
-def test_score_subcommand_outputs(tmp_path, capsys):
+def test_run_writes_scores_and_accuracy(tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli("score", "--out", str(out)) == 0
+    assert run_cli("run", "--out", str(out)) == 0
     stdout = capsys.readouterr().out
     assert "scores.csv" in stdout
     assert "accuracy: 0.70" in stdout
@@ -153,14 +159,79 @@ def test_score_subcommand_outputs(tmp_path, capsys):
     assert scores_text.startswith("object,row_sum,column_sum,score,prediction,label\n")
 
 
-def test_reduce_and_product_subcommands(tmp_path, capsys):
+def test_run_writes_reduction_and_published_product(tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli("reduce", "--out", str(out)) == 0
-    assert "reduction.txt" in capsys.readouterr().out
-    assert run_cli("product", "--out", str(out)) == 0
-    assert "product.csv" in capsys.readouterr().out
+    assert run_cli("run", "--out", str(out)) == 0
+    stdout = capsys.readouterr().out
+    assert "reduction.txt" in stdout and "product.csv" in stdout
+    reduction = (out / "reduction.txt").read_text(encoding="utf-8")
+    assert "AGE: kept (AGE)_O" in reduction
     header = (out / "product.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.split(",")[1] == "€1"  # published positional labels
+
+
+def _subcommands() -> dict:
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def test_parser_has_only_the_pipeline_curves_and_verify_commands():
+    assert sorted(_subcommands()) == ["curves", "run", "verify"]
+
+
+def test_run_choices_are_the_library_lists():
+    choices = {a.dest: a.choices for a in _subcommands()["run"]._actions if a.choices is not None}
+    assert list(choices["combiner"]) == list(COMBINERS)
+    assert list(choices["mode"]) == list(MODES)
+    assert list(choices["reduction"]) == list(pipeline.REDUCTIONS)
+    assert list(choices["product_source"]) == list(pipeline.PRODUCT_SOURCES)
+
+
+def test_spec_on_an_unmodeled_csv_column_runs(tmp_path, csv_116):
+    # Glucose is in the file but not among the default variables.
+    spec = [{"name": "GLU", "column": "Glucose",
+             "partitions": [{"label": "L", "nodes": [[70, 1], [100, 0]], "left_tail": 1},
+                            {"label": "H", "nodes": [[90, 0], [130, 1]], "right_tail": 1}]}]
+    spec_file = tmp_path / "glucose.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--data", str(csv_116), "--spec", str(spec_file)) == 0
+    assert (out / "fuzzy_GLU.csv").read_text(encoding="utf-8").startswith("object,(GLU)_L,(GLU)_H\n")
+
+
+def test_reduction_over_the_parameter_cap_exits_1(tmp_path):
+    partitions = [{"label": f"p{k}", "nodes": [[k, 0], [k + 1, 1], [k + 2, 0]]} for k in range(21)]
+    spec_file = tmp_path / "wide.json"
+    spec_file.write_text(json.dumps([{"name": "AGE", "column": "Age", "partitions": partitions}]),
+                         encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 1
+    assert _empty_or_absent(out)
+    assert run_cli("run", "--out", str(out), "--spec", str(spec_file), "--reduction", "off") == 0
+
+
+def test_curves_with_degenerate_display_range_exits_1(tmp_path):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    spec[0]["display_range"] = [50.0, 50.0]
+    spec_file = tmp_path / "flat.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "curves"
+    assert run_cli("curves", "--out", str(out), "--spec", str(spec_file)) == 1
+    assert _empty_or_absent(out)
+
+
+def test_duplicate_ids_exit_2(tmp_path, monkeypatch):
+    data = tmp_path / "dup.csv"
+    data.write_text(
+        "pid,Age,BMI,Insulin,Leptin,Adiponectin,Classification\n"
+        "P-1,44,24.74,58.46,18.16,16.10,2\n"
+        "P-1,49,23.01,5.66,35.59,26.72,1\n",
+        encoding="utf-8",
+    )
+    # the CLI has no schema flag; a run takes the module default schema
+    monkeypatch.setattr(pipeline, "DEFAULT_SCHEMA", DatasetSchema(id_column="pid"))
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--data", str(data)) == 2
+    assert _empty_or_absent(out)
 
 
 def test_threshold_flag_changes_predictions(tmp_path):

@@ -5,8 +5,11 @@ from fuzzysoft import (
     DatasetSchema,
     HEALTHY_CONTROL,
     PATIENT,
+    Partition,
+    VariableSpec,
     builtin_table1,
     load_csv,
+    right_shoulder,
     select_samples,
 )
 
@@ -161,6 +164,25 @@ def test_schema_with_explicit_id_column(tmp_path):
     assert records[0].measurements["Age"] == 44.0
 
 
-def test_schema_requires_all_columns():
-    with pytest.raises(ValueError):
-        DatasetSchema(column_map={"Age": "Age"})
+def test_spec_columns_are_read_through_the_schema_at_load_time(tmp_path, csv_116):
+    text = csv_116.read_text(encoding="utf-8").replace("Age,", "years,", 1)
+    # only Age is mapped; the other names read the header of the same name
+    records = load_csv(_write(tmp_path, text), DatasetSchema(column_map={"Age": "years"}))
+    assert records[0].measurements == load_csv(csv_116)[0].measurements
+    glucose = VariableSpec("GLU", "Glucose", (Partition("H", "High", right_shoulder(90, 130)),))
+    assert list(load_csv(csv_116, specs=[glucose])[0].measurements) == ["Glucose"]
+    no_glucose = _write(tmp_path, text.replace("Glucose,", "Other,", 1), "other.csv")
+    with pytest.raises(DataError, match="Glucose"):
+        load_csv(no_glucose, specs=[glucose])
+
+
+def test_duplicate_ids_name_the_id(tmp_path):
+    text = (
+        "pid,Age,BMI,Insulin,Leptin,Adiponectin,Classification\n"
+        "P-7,44,24.74,58.46,18.16,16.10,2\n"
+        "P-9,49,23.01,5.66,35.59,26.72,1\n"
+        "P-7,57,34.84,12.55,33.16,2.36,2\n"
+    )
+    path = _write(tmp_path, text)
+    with pytest.raises(DataError, match="row 3.*'P-7'"):
+        load_csv(path, DatasetSchema(id_column="pid"))

@@ -9,13 +9,15 @@ from fuzzysoft import (
     HIGH_RISK,
     PATIENT,
     FuzzySoftSet,
+    PipelineConfig,
     classify,
     comparison_table,
     evaluate,
     format_report_text,
+    fuzzify_cohort,
     product_n,
     report_to_csv,
-    score_pipeline,
+    run_pipeline,
     scores,
 )
 from fuzzysoft.fixtures import (
@@ -121,31 +123,32 @@ def test_evaluate_rejects_bad_inputs():
         evaluate({"a": HIGH_RISK}, {"b": PATIENT})
 
 
-def test_pipeline_equals_hand_composition():
-    rng = np.random.default_rng(5)
-    universe = ("x", "y", "z")
-    sets = [
-        FuzzySoftSet(universe, ("a1", "a2"), rng.random((3, 2))),
-        FuzzySoftSet(universe, ("b1", "b2", "b3"), rng.random((3, 3))),
-    ]
-    report = score_pipeline(sets, combiner="min", mode="difference", threshold=0.1)
-    by_hand = scores(comparison_table(product_n(sets, "min"), "difference"))
-    assert np.allclose(report.scores, by_hand.scores)
-    assert report.parameter_count == 6
-    assert report.predictions == classify(by_hand, 0.1)
+def _score_by_hand(sets, combiner="max", mode="count", threshold=0.0):
+    report = scores(comparison_table(product_n(sets, combiner), mode))
+    return replace(report, predictions=classify(report, threshold))
+
+
+def test_pipeline_equals_hand_composition(tmp_path, cohort, specs):
+    cfg = PipelineConfig(combiner="min", mode="difference", threshold=0.1, reduction="off",
+                         out_dir=str(tmp_path))
+    report = run_pipeline(cfg).report
+    by_hand = _score_by_hand(fuzzify_cohort(cohort, specs), "min", "difference", 0.1)
+    assert np.array_equal(report.scores, by_hand.scores)
+    assert report.parameter_count == by_hand.parameter_count == 432
+    assert report.predictions == by_hand.predictions
 
 
 def test_pipeline_on_single_set_matches_direct_comparison(computed_sets):
     s = computed_sets["LPN"]
-    report = score_pipeline([s])
+    report = _score_by_hand([s])
     direct = scores(comparison_table(s, "count"))
     assert np.array_equal(report.scores, direct.scores)
 
 
 def test_pipeline_is_deterministic(computed_sets):
     sets = list(computed_sets.values())
-    a = score_pipeline(sets)
-    b = score_pipeline(sets)
+    a = _score_by_hand(sets)
+    b = _score_by_hand(sets)
     assert np.array_equal(a.scores, b.scores)
     assert a.predictions == b.predictions
 

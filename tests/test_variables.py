@@ -12,6 +12,7 @@ from fuzzysoft import (
     errata_report,
     fuzzify_cohort,
     fuzzify_value,
+    load_csv,
     specs_from_json,
     specs_to_json,
 )
@@ -101,11 +102,30 @@ def test_out_of_support_measurement_warns_and_yields_zero_row(caplog):
     from fuzzysoft import Partition, VariableSpec, triangle
 
     spec = VariableSpec(name="T", column="X", partitions=(Partition("a", "a", triangle(0, 1, 2)),))
-    record = PatientRecord(id="edge", measurements={"X": 9.0})
+    records = [PatientRecord(id=f"edge{i}", measurements={"X": 9.0 + i}) for i in range(7)]
+    records.insert(3, PatientRecord(id="inside", measurements={"X": 1.0}))
     with caplog.at_level(logging.WARNING):
-        sets = fuzzify_cohort([record], [spec])
-    assert sets[0].degrees.tolist() == [[0.0]]
-    assert any("outside every" in rec.message for rec in caplog.records)
+        sets = fuzzify_cohort(records, [spec])
+    assert sets[0].degrees.tolist() == [[0.0]] * 3 + [[1.0]] + [[0.0]] * 4
+    # one line per variable, with the count and the first few IDs
+    assert len(caplog.records) == 1
+    message = caplog.records[0].message
+    assert "outside every" in message and "7 record(s)" in message
+    assert "edge0, edge1, edge2, edge3, edge4, ..." in message and "inside" not in message
+
+
+def test_fuzzify_cohort_is_bit_identical_to_scalar_evaluation(csv_116, specs):
+    rng = np.random.default_rng(11)
+    records = load_csv(csv_116)
+    # every breakpoint, both sides of it, and values far outside the supports
+    edges = sorted({x for s in specs for p in s.partitions for x, _ in p.mf.nodes} | {0.0, 1e6})
+    values = [v for x in edges for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)) if v >= 0]
+    values += rng.uniform(0, 120, 200).tolist()
+    records += [PatientRecord(f"v{i}", {s.column: float(v) for s in specs}) for i, v in enumerate(values)]
+    for spec, s in zip(specs, fuzzify_cohort(records, specs)):
+        scalar = np.array([[p.mf.evaluate(r.measurements[spec.column]) for p in spec.partitions]
+                           for r in records])
+        assert s.degrees.tobytes() == scalar.tobytes(), spec.name  # sign of zero included
 
 
 def test_default_variables_have_no_support_gaps(specs, cohort):
@@ -164,7 +184,10 @@ def test_specs_json_round_trip(specs):
                 assert p_back.mf.evaluate(x) == p_orig.mf.evaluate(x)
 
 
-@pytest.mark.parametrize("text", ["not json", "[]", "{}", '[{"name": "A"}]'])
+@pytest.mark.parametrize("text", [
+    "not json", "[]", "{}", '[{"name": "A"}]',
+    '[{"name": "A", "column": "Age", "display_range": [5, 5], "partitions": [{"label": "a", "nodes": [[0, 1]]}]}]',
+])
 def test_specs_from_json_rejects_bad_config(text):
     with pytest.raises(ConfigError):
         specs_from_json(text)
