@@ -40,7 +40,7 @@ from .scoring import (
     report_to_csv,
     scores,
 )
-from .softset import COMBINERS, product_n, restrict, to_table
+from .softset import COMBINERS, format_rows, product_n, restrict, to_table
 from .variables import (
     VariableSpec,
     default_variable_specs,
@@ -240,12 +240,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
 
     buf = io.StringIO()
     buf.write("object," + ",".join(table.universe) + "\n")
-    for i, oid in enumerate(table.universe):
-        if table.mode == "count":
-            cells = ",".join(str(int(v)) for v in table.counts[i])
-        else:
-            cells = ",".join(f"{float(v):.6f}" for v in table.counts[i])
-        buf.write(f"{oid},{cells}\n")
+    fmt = str if table.mode == "count" else "{:.6f}".format
+    for oid, cells in zip(table.universe, format_rows(table.counts, fmt)):
+        buf.write(f"{oid},{','.join(cells)}\n")
     contents["comparison.csv"] = buf.getvalue() + footer
 
     contents["scores.csv"] = report_to_csv(report, labels) + footer

@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "restrict",
     "to_table",
     "from_table",
+    "format_rows",
     "positional_labels",
 ]
 
@@ -143,6 +144,28 @@ def positional_labels(s: FuzzySoftSet, prefix: str = "€") -> dict[str, str]:
     return {p: f"{prefix}{j + 1}" for j, p in enumerate(s.parameters)}
 
 
+# Cells deduplicated at once by format_rows. It bounds the temporaries, above all
+# the block's formatted strings, which would otherwise raise peak RSS.
+_FORMAT_BLOCK_CELLS = 1 << 14
+
+
+def format_rows(grid: np.ndarray, fmt: Callable) -> Iterator[list[str]]:
+    """Each row of a 2-D numeric array as a list of ``fmt(value)`` strings.
+
+    Equal to ``[fmt(v) for v in row.tolist()]`` per row, but each distinct
+    value of a block of rows is formatted once. Values are told apart by bit
+    pattern, so -0.0 and 0.0 keep their own text.
+    """
+    grid = np.ascontiguousarray(grid)
+    n_rows, n_cols = grid.shape
+    step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        block = grid[start : start + step]
+        bits, inverse = np.unique(block.view(f"u{block.itemsize}").ravel(), return_inverse=True)
+        texts = np.array([fmt(v) for v in bits.view(grid.dtype).tolist()], dtype=object)
+        yield from texts[inverse].reshape(block.shape).tolist()
+
+
 def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
     """Serialize as CSV text: header ``object,<label>,...``, one row per object.
 
@@ -153,12 +176,14 @@ def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("object",) + s.parameters)
-    for i, oid in enumerate(s.universe):
-        if decimals is None:
-            row = [repr(v) for v in s.degrees[i].tolist()]
-        else:
-            row = [f"{v:.{decimals}f}" for v in s.degrees[i].tolist()]
-        writer.writerow([oid] + row)
+    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    for oid, cells in zip(s.universe, format_rows(s.degrees, fmt)):
+        # Formatted numbers never need quoting, so the writer quotes only the
+        # ID and first cell; the other cells replace the line end it wrote.
+        writer.writerow((oid, *cells[:1]))
+        if len(cells) > 1:
+            buf.seek(buf.tell() - 1)
+            buf.write("," + ",".join(cells[1:]) + "\n")
     return buf.getvalue()
 
 

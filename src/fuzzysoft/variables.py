@@ -281,7 +281,11 @@ def specs_from_json(text: str) -> list[VariableSpec]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("variable spec config must be a non-empty JSON list")
     specs = []
-    for entry in raw:
+    for position, entry in enumerate(raw, start=1):
+        if not isinstance(entry, dict):
+            raise ConfigError(
+                f"variable spec entry {position} must be a JSON object, got {type(entry).__name__}"
+            )
         try:
             partitions = tuple(
                 Partition(
@@ -305,6 +309,11 @@ def specs_from_json(text: str) -> list[VariableSpec]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad variable spec entry {entry.get('name', '?')!r}: {exc}") from exc
+    names = [spec.name for spec in specs]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        # each variable writes fuzzy_<name>.csv, so a repeated name would overwrite a table
+        raise ConfigError(f"variable spec names must be unique, got duplicates {duplicates}")
     return specs
 
 

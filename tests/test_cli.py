@@ -209,6 +209,29 @@ def test_reduction_over_the_parameter_cap_exits_1(tmp_path):
     assert run_cli("run", "--out", str(out), "--spec", str(spec_file), "--reduction", "off") == 0
 
 
+@pytest.mark.parametrize("entry", [1, "AGE", [], None])
+def test_spec_entry_that_is_not_an_object_exits_1(tmp_path, capsys, entry):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_text(json.dumps(spec[:2] + [entry]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "entry 3 must be a JSON object" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
+def test_duplicate_spec_names_exit_1(tmp_path, capsys):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    bmi = next(entry for entry in spec if entry["name"] == "BMI")
+    bmi["name"] = "AGE"
+    spec_file = tmp_path / "dup.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "duplicates ['AGE']" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
 def test_curves_with_degenerate_display_range_exits_1(tmp_path):
     spec = json.loads(specs_to_json(default_variable_specs()))
     spec[0]["display_range"] = [50.0, 50.0]

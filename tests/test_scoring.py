@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fuzzysoft import scoring
 from fuzzysoft import (
     HEALTHY,
     HEALTHY_CONTROL,
@@ -20,6 +22,7 @@ from fuzzysoft import (
     run_pipeline,
     scores,
 )
+from fuzzysoft.scoring import COMPARISON_EPSILON
 from fuzzysoft.fixtures import (
     GROUND_TRUTH,
     PUBLISHED_SCORE_ROWS,
@@ -45,6 +48,90 @@ def test_count_diagonal_equals_parameter_count(computed_sets):
 def test_published_product_diagonal_is_72():
     table = comparison_table(published_product_table(), "count")
     assert np.all(np.diag(table.counts) == 72)
+
+
+def _soft_set(degrees):
+    n, m = degrees.shape
+    return FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees)
+
+
+def _dense_count(d):
+    """The whole n x n x m tensor comparison the rank-encoded count path replaces."""
+    return (d[:, None, :] >= d[None, :, :] - COMPARISON_EPSILON).sum(axis=2)
+
+
+def _dense_difference(d):
+    return (d[:, None, :] - d[None, :, :]).sum(axis=2)
+
+
+def _near_epsilon_column(rng, n):
+    """Degrees exactly eps apart, and eps plus or minus one ulp apart, in every order."""
+    base = np.round(rng.uniform(0.1, 0.9, size=max(1, n // 6)), 3)
+    gap = base + COMPARISON_EPSILON
+    column = np.concatenate([
+        base, gap, np.nextafter(gap, 2.0), np.nextafter(gap, -1.0),
+        base - COMPARISON_EPSILON, np.nextafter(base - COMPARISON_EPSILON, -1.0),
+    ])
+    return rng.permutation(column)[:n]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_count_table_equals_dense_tensor_with_forced_ties(seed):
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 80)), int(rng.integers(1, 60))
+    degrees = np.round(rng.random((n, m)), int(rng.integers(1, 3)))  # 1-2 decimals: many ties
+    assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, _dense_count(degrees))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_table_equals_dense_tensor_at_epsilon_boundaries(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 60
+    degrees = np.column_stack([_near_epsilon_column(rng, n) for _ in range(8)])
+    assert len(np.unique(degrees)) > n  # the boundary values really are distinct floats
+    assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, _dense_count(degrees))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1)])
+def test_count_table_equals_dense_tensor_at_minimal_shapes(shape):
+    degrees = np.round(np.random.default_rng(7).random(shape), 1)
+    assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, _dense_count(degrees))
+
+
+def test_count_table_equals_dense_tensor_on_published_product():
+    s = published_product_table()
+    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+
+
+def test_count_table_flushes_its_accumulator_without_overflow():
+    # over 255 columns, and a pair that ties on every one: cells above uint8's range
+    degrees = np.round(np.random.default_rng(11).random((30, 600)), 1)
+    degrees[1] = degrees[0]
+    counts = comparison_table(_soft_set(degrees), "count").counts
+    assert counts[0, 1] == counts[1, 0] == 600
+    assert np.array_equal(counts, _dense_count(degrees))
+
+
+@pytest.mark.parametrize("block_cells", [1, 5000, 1 << 21])
+@pytest.mark.parametrize("shape", [(37, 17), (116, 30), (150, 100)])
+def test_blocked_difference_table_is_bit_identical_to_dense(monkeypatch, block_cells, shape):
+    monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
+    degrees = np.random.default_rng(shape[0]).random(shape)
+    table = comparison_table(_soft_set(degrees), "difference")
+    assert np.array_equal(table.counts.view(np.int64), _dense_difference(degrees).view(np.int64))
+
+
+def test_count_table_memory_is_bounded():
+    # the dense n x n x m boolean tensor alone would be about 432 MB here
+    degrees = np.random.default_rng(5).random((1000, 432))
+    s = _soft_set(degrees)
+    tracemalloc.start()
+    try:
+        comparison_table(s, "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_comparison_rejects_empty():

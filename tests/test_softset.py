@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from fuzzysoft import softset
 from fuzzysoft import (
     DataError,
     FuzzySoftSet,
@@ -11,6 +15,7 @@ from fuzzysoft import (
     restrict,
     to_table,
 )
+from fuzzysoft.softset import format_rows
 
 MU = "μ_"
 X = "×"
@@ -203,3 +208,63 @@ def test_product_permutation_equivariance(computed_sets):
             label = f"{pa}{X}{pb}"
             for oid in a.universe:
                 assert prod_perm.degree(oid, label) == prod.degree(oid, label)
+
+
+# Values whose text per-cell formatting must keep: signed zero, tiny and exact ones.
+_EDGE_VALUES = [-0.0, 0.0, 1e-7, 0.5, 1.0, 1 / 3, 0.1 + 0.2, 5e-324, 0.9999995]
+
+
+def _per_cell_table(s, decimals=None):
+    """``to_table`` as it was before value deduplication: one format call per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("object",) + s.parameters)
+    for i, oid in enumerate(s.universe):
+        if decimals is None:
+            row = [repr(v) for v in s.degrees[i].tolist()]
+        else:
+            row = [f"{v:.{decimals}f}" for v in s.degrees[i].tolist()]
+        writer.writerow([oid] + row)
+    return buf.getvalue()
+
+
+def _edge_set(n=13, m=11, ids=None):
+    rng = np.random.default_rng(n * m)
+    degrees = rng.choice(np.array(_EDGE_VALUES + list(rng.random(6))), size=(n, m))
+    universe = ids or tuple(f"o{i}" for i in range(n))
+    return FuzzySoftSet(universe, tuple(f"e{j}" for j in range(m)), degrees)
+
+
+_QUOTED_IDS = ("plain", "with,comma", 'with"quote', " spaced ", "", "semi;colon", "tab\tid")
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 1 << 14])
+@pytest.mark.parametrize("decimals", [None, 6, 2])
+def test_to_table_equals_per_cell_formatting(monkeypatch, block_cells, decimals):
+    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    for s in (_edge_set(), _edge_set(len(_QUOTED_IDS), 1, _QUOTED_IDS), _edge_set(3, 0)):
+        assert to_table(s, decimals) == _per_cell_table(s, decimals)
+
+
+def test_to_table_keeps_signed_zero_apart():
+    s = FuzzySoftSet(("a", "b"), ("p", "q"), np.array([[-0.0, 0.0], [0.0, -0.0]]))
+    assert to_table(s).splitlines()[1:] == ["a,-0.0,0.0", "b,0.0,-0.0"]
+    assert to_table(s, 2).splitlines()[1:] == ["a,-0.00,0.00", "b,0.00,-0.00"]
+
+
+def test_round_trip_with_quoted_ids_and_edge_values():
+    s = _edge_set(len(_QUOTED_IDS), 9, _QUOTED_IDS)
+    back = from_table(to_table(s))
+    assert back == s
+    assert np.array_equal(back.degrees.view(np.int64), s.degrees.view(np.int64))
+
+
+@pytest.mark.parametrize("block_cells", [1, 10, 1 << 14])
+def test_format_rows_equals_per_cell_formatting(monkeypatch, block_cells):
+    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(4)
+    counts = rng.integers(-40, 40, size=(9, 12))
+    floats = rng.choice(np.array(_EDGE_VALUES + [-1e-7, -0.5, 123.456789]), size=(9, 12))
+    for grid, fmt in ((counts, str), (floats, "{:.6f}".format), (floats, repr)):
+        assert list(format_rows(grid, fmt)) == [[fmt(v) for v in row.tolist()] for row in grid]
+    assert list(format_rows(np.zeros((2, 0)), repr)) == [[], []]
