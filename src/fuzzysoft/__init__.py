@@ -2,7 +2,9 @@
 
 Fuzzifies clinical measurements through piecewise-linear membership functions,
 builds fuzzy soft sets over a patient cohort, applies soft-set products and
-normal parameter reduction, and ranks objects by comparison-table scores. The
+a parameter reduction that preserves the optimal objects (Chen et al. 2005's
+parameterization reduction, not Kong et al. 2008's normal reduction, which
+keeps the whole ranking), and ranks objects by comparison-table scores. The
 default configuration reproduces a published breast-cancer risk-ranking case
 study end to end, including a machine-readable errata report for every cell
 where the study's printed tables contradict its own formulas.

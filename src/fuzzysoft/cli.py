@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="count",
                    help="comparison mode (default: count, as published)")
     p.add_argument("--reduction", choices=REDUCTIONS, default="per-variable",
-                   help="normal parameter reduction (default: per-variable)")
+                   help="parameter reduction preserving the optimal objects (default: per-variable)")
     p.add_argument("--threshold", type=float, default=0.0,
                    help="risk threshold on scores (default: 0)")
     p.add_argument("--out", default="out", help="output directory (default: out)")

@@ -1,16 +1,24 @@
-"""Normal parameter reduction of fuzzy soft sets.
+"""Parameter reduction of fuzzy soft sets that preserves the optimal objects.
 
 An object's choice value is its row sum of degrees; the optimal-object set
 collects the objects attaining the maximum choice value (a set-valued argmax
 with a tiny tie guard). A parameter subset is dispensable if removing it
 leaves the optimal-object set unchanged, and a reduction is a minimal subset
 that preserves it on its own.
+
+This is the parameterization reduction of Chen et al. 2005 (Comput. Math.
+Appl. 49): only the optimal-object set is kept. The *normal* parameter
+reduction of Kong et al. 2008 (Comput. Math. Appl. 56) is stricter: it keeps
+the whole ranking by choice value, and it is not implemented here.
+
+Choice values are added left to right in parameter order,
+``((d_0 + d_1) + d_2) + ...``, both in ``choice_values`` and for every subset
+the search visits, so the full parameter set always preserves its own target.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +39,9 @@ TIE_EPSILON = 1e-9
 
 DEFAULT_PARAMETER_CAP = 20
 
+# Cells (objects x subsets) in one block of subset sums; 512 KB of float64.
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ReductionResult:
@@ -42,8 +53,15 @@ class ReductionResult:
 
 
 def choice_values(s: FuzzySoftSet) -> np.ndarray:
-    """Per-object sum of degrees across all parameters, in universe order."""
-    return s.degrees.sum(axis=1)
+    """Per-object sum of degrees across all parameters, in universe order.
+
+    The columns are added left to right in parameter order, the order
+    ``find_reductions`` uses for every subset.
+    """
+    f = np.zeros(s.degrees.shape[0])
+    for j in range(s.degrees.shape[1]):
+        f += s.degrees[:, j]
+    return f
 
 
 def optimal_objects(s: FuzzySoftSet, tie_epsilon: float = TIE_EPSILON) -> frozenset[str]:
@@ -73,16 +91,42 @@ def is_dispensable(s: FuzzySoftSet, subset: Iterable[str]) -> bool:
     return optimal_objects(restrict(s, keep)) == optimal_objects(s)
 
 
+def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterator[tuple[int, np.ndarray]]:
+    """Choice values of every parameter subset, one block of subsets at a time.
+
+    Subset ``mask`` holds parameter ``j`` iff bit ``j`` is set. Yields
+    ``(first, sums)`` where ``sums[:, k]`` holds the choice values of subset
+    ``first + k``, added left to right in parameter order exactly as
+    ``choice_values`` adds them. The low parameters' sums are a prefix table
+    built by doubling; each later block adds the high parameters of its mask
+    to that table, into one buffer reused between blocks.
+    """
+    n, m = degrees.shape
+    low = min(m, max(1, block_cells // n).bit_length() - 1)
+    table = np.zeros((n, 1 << low))
+    for b in range(low):
+        np.add(table[:, : 1 << b], degrees[:, b, None], out=table[:, 1 << b : 2 << b])
+    yield 0, table
+    block = np.empty_like(table)
+    for high in range(1, 1 << (m - low)):
+        cols = [low + b for b in range(m - low) if high >> b & 1]
+        np.add(table, degrees[:, cols[0], None], out=block)
+        for j in cols[1:]:
+            block += degrees[:, j, None]
+        yield high << low, block
+
+
 def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[ReductionResult]:
     """All minimal parameter subsets that preserve the optimal-object set.
 
     Every returned subset B satisfies optimal(restrict(s, B)) == optimal(s) and
-    no proper non-empty subset of B does. Subsets are searched by ascending
-    size, pruning supersets of subsets already found, so the result is exactly
-    the minimal family, ordered by size and then by parameter position.
+    no proper non-empty subset of B does. The result is exactly the minimal
+    family, ordered by size and then by parameter position.
 
-    The search is exponential in the parameter count; ``cap`` refuses inputs
-    that are too wide.
+    Every subset's choice values come from ``_subset_sums``; a subset is
+    minimal when it preserves the optimal set and none of its strict subsets
+    does. The search is exponential in the parameter count; ``cap`` refuses
+    inputs that are too wide.
     """
     m = len(s.parameters)
     if m > cap:
@@ -90,27 +134,38 @@ def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[R
             f"refusing to enumerate reductions over {m} parameters (cap is {cap})"
         )
     target = optimal_objects(s)
-    universe_index = {oid: i for i, oid in enumerate(s.universe)}
-    target_rows = sorted(universe_index[oid] for oid in target)
-    degrees = s.degrees
-    found_index_sets: list[frozenset[int]] = []
+    # Objects are summed independently, so putting the target objects first
+    # splits every block of sums into two row slices.
+    in_target = np.array([oid in target for oid in s.universe])
+    k = int(in_target.sum())
+    degrees = np.concatenate([s.degrees[in_target], s.degrees[~in_target]])
+    preserves = np.zeros(1 << m, dtype=bool)
+    for first, sums in _subset_sums(degrees):
+        rest = sums[k:].max(axis=0, initial=-np.inf)
+        threshold = np.maximum(sums[:k].max(axis=0), rest) - TIE_EPSILON
+        ok = (sums[:k].min(axis=0) >= threshold) & (rest < threshold)
+        preserves[first : first + sums.shape[1]] = ok
+    preserves[0] = False
+    # covered[mask]: some subset of mask (itself included) preserves.
+    covered = preserves.copy()
+    minimal = preserves.copy()
+    for b in range(m):
+        half = covered.reshape(-1, 2, 1 << b)
+        half[:, 1] |= half[:, 0]
+    for b in range(m):
+        minimal.reshape(-1, 2, 1 << b)[:, 1] &= ~covered.reshape(-1, 2, 1 << b)[:, 0]
+    combos = sorted(
+        (tuple(j for j in range(m) if mask >> j & 1) for mask in np.flatnonzero(minimal).tolist()),
+        key=lambda combo: (len(combo), combo),
+    )
     results: list[ReductionResult] = []
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            combo_set = frozenset(combo)
-            if any(prior <= combo_set for prior in found_index_sets):
-                continue
-            f = degrees[:, combo].sum(axis=1)
-            best = f.max()
-            rows = np.flatnonzero(f >= best - TIE_EPSILON)
-            if rows.tolist() == target_rows:
-                found_index_sets.append(combo_set)
-                kept = tuple(s.parameters[j] for j in combo)
-                results.append(
-                    ReductionResult(
-                        reduct=kept,
-                        optimal_objects=target,
-                        dispensable=tuple(p for p in s.parameters if p not in kept),
-                    )
-                )
+    for combo in combos:
+        kept = tuple(s.parameters[j] for j in combo)
+        results.append(
+            ReductionResult(
+                reduct=kept,
+                optimal_objects=target,
+                dispensable=tuple(p for p in s.parameters if p not in kept),
+            )
+        )
     return results

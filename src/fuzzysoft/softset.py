@@ -190,15 +190,16 @@ def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
 def from_table(text: str) -> FuzzySoftSet:
     """Parse CSV text produced by ``to_table`` (or compatible external files).
 
-    Lines starting with ``#`` are ignored. Errors name the offending 1-based
-    line: ragged rows, non-numeric cells, duplicate headers.
+    Blank rows and rows whose first cell starts with ``#`` are ignored. A
+    quoted cell may span lines. Errors name the 1-based line the offending
+    row ends on: ragged rows, non-numeric cells, duplicate headers.
     """
     rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
             continue
-        parsed = next(csv.reader([line]))
-        rows.append((lineno, parsed))
+        rows.append((reader.line_num, row))
     if not rows:
         raise DataError("empty table")
     header_line, header = rows[0]

@@ -1,16 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fuzzysoft import (
     FuzzySoftSet,
+    ReductionResult,
     choice_values,
     find_reductions,
     is_dispensable,
     optimal_objects,
     restrict,
 )
+from fuzzysoft.reduction import TIE_EPSILON, _subset_sums
 
 MU = "μ_"
 
@@ -179,3 +182,115 @@ def test_agreement_with_brute_force_on_random_instances():
         )
         got = [frozenset(r.reduct) for r in find_reductions(s)]
         assert got == brute_force_reductions(s)
+
+
+def per_subset_reductions(s):
+    """Reference search: one numpy sum per subset, by ascending size, pruning supersets."""
+    m = len(s.parameters)
+    target = optimal_objects(s)
+    universe_index = {oid: i for i, oid in enumerate(s.universe)}
+    target_rows = sorted(universe_index[oid] for oid in target)
+    degrees = s.degrees
+    found_index_sets: list[frozenset[int]] = []
+    results: list[ReductionResult] = []
+    for size in range(1, m + 1):
+        for combo in itertools.combinations(range(m), size):
+            combo_set = frozenset(combo)
+            if any(prior <= combo_set for prior in found_index_sets):
+                continue
+            f = degrees[:, combo].sum(axis=1)
+            best = f.max()
+            rows = np.flatnonzero(f >= best - TIE_EPSILON)
+            if rows.tolist() == target_rows:
+                found_index_sets.append(combo_set)
+                kept = tuple(s.parameters[j] for j in combo)
+                results.append(
+                    ReductionResult(
+                        reduct=kept,
+                        optimal_objects=target,
+                        dispensable=tuple(p for p in s.parameters if p not in kept),
+                    )
+                )
+    return results
+
+
+def _soft_set(degrees):
+    n, m = degrees.shape
+    return FuzzySoftSet(tuple(f"h{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees)
+
+
+def _tied_degrees(rng, n, m):
+    """Coarsely rounded degrees, with some rows copied and moved by eps or eps +- 1 ulp."""
+    degrees = rng.random((n, m)).round(int(rng.integers(0, 3)))
+    for _ in range(int(rng.integers(0, 4)) if n > 1 else 0):
+        src, dst = rng.choice(n, size=2, replace=False)
+        j = int(rng.integers(m))
+        row = degrees[src].copy()
+        gap = TIE_EPSILON * rng.choice([0.0, 1.0, 0.5])
+        shifted = row[j] - gap if row[j] >= gap else row[j] + gap
+        row[j] = np.clip([shifted, np.nextafter(shifted, 0.0), np.nextafter(shifted, 1.0)][int(rng.integers(3))], 0, 1)
+        degrees[dst] = row
+    return np.asfortranarray(degrees) if rng.random() < 0.5 else degrees
+
+
+def test_search_equals_per_subset_reference_on_tied_inputs():
+    rng = np.random.default_rng(2026)
+    shapes = [(1, m) for m in range(1, 10)] + [(700, 10), (700, 9)]
+    shapes += [(int(rng.integers(2, 40)), int(rng.integers(1, 11))) for _ in range(150)]
+    for n, m in shapes:
+        s = _soft_set(_tied_degrees(rng, n, m))
+        assert find_reductions(s) == per_subset_reductions(s), (n, m)
+
+
+def test_reference_agrees_on_the_cohort(computed_sets, published_sets):
+    for s in [*computed_sets.values(), *published_sets.values()]:
+        assert find_reductions(s) == per_subset_reductions(s)
+
+
+@pytest.mark.parametrize("n,m,block_cells", [(2, 6, 1 << 16), (3, 7, 8), (8, 9, 64), (40, 8, 1 << 16), (700, 9, 1 << 16)])
+def test_subset_sums_are_bitwise_the_per_subset_sums(n, m, block_cells):
+    rng = np.random.default_rng(n * 100 + m)
+    for degrees in (rng.random((n, m)), np.asfortranarray(rng.random((n, m)).round(2))):
+        seen = 0
+        for first, sums in _subset_sums(degrees, block_cells):
+            assert sums.shape[0] == n
+            for k in range(sums.shape[1]):
+                combo = [j for j in range(m) if (first + k) >> j & 1]
+                want = degrees[:, combo].sum(axis=1) if combo else np.zeros(n)
+                assert sums[:, k].tobytes() == want.tobytes(), (first + k)
+            seen += sums.shape[1]
+        assert seen == 1 << m
+
+
+def test_full_set_preserves_its_own_optimal_objects_near_the_tie_guard():
+    # Row 1 trails row 0 by about TIE_EPSILON, so whether it is optimal depends
+    # on the last bits of its sum: the search's full-set sum and choice_values
+    # must agree bit for bit.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = int(rng.integers(2, 12)), int(rng.integers(8, 15))
+        degrees = rng.random((n, m)) * 0.5
+        degrees[0] = 0.5 + rng.random(m) * 0.5
+        degrees[1] = degrees[0]
+        degrees[1, int(rng.integers(m))] -= TIE_EPSILON + rng.integers(-4, 5) * 2.0**-53
+        s = _soft_set(degrees)
+        f = np.zeros(n)
+        for j in range(m):
+            f += degrees[:, j]
+        assert choice_values(s).tobytes() == f.tobytes()
+        search_full_set = {s.universe[i] for i in np.flatnonzero(f >= f.max() - TIE_EPSILON)}
+        assert optimal_objects(s) == search_full_set
+        assert find_reductions(s)
+
+
+def test_search_memory_stays_in_blocks():
+    rng = np.random.default_rng(3)
+    s = _soft_set(rng.random((1000, 16)).round(2))
+    tracemalloc.start()
+    try:
+        find_reductions(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (2^16, 1000) table of sums would be 524 MB
+    assert peak < 4 * 2**20, peak

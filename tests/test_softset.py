@@ -146,6 +146,18 @@ def test_from_table_skips_comment_lines(computed_sets):
     assert from_table(text) == s
 
 
+def test_round_trip_with_multi_line_ids():
+    s = FuzzySoftSet(("a\nb", "c"), ("p",), [[0.5], [0.25]])
+    text = to_table(s) + "\n# config=abc version=0.0.0\n"
+    assert text.startswith('object,p\n"a\nb",0.5\n')
+    assert from_table(text) == s
+
+
+def test_from_table_reports_the_line_a_multi_line_row_ends_on():
+    with pytest.raises(DataError, match="line 5: non-numeric"):
+        from_table('object,p\n"a\nb",0.5\n"c\nd",high\n')
+
+
 def test_from_table_reports_ragged_line_number():
     text = "object,a,b\no1,0.5,0.5\no2,0.25\n"
     with pytest.raises(DataError, match="line 3"):
