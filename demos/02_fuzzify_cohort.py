@@ -14,15 +14,15 @@ of silently preferring either side.
 from fuzzysoft import builtin_table1, default_variable_specs, errata_report, fuzzify_cohort, to_table
 from fuzzysoft.fixtures import published_variable_tables
 
-records = builtin_table1()
+cohort = builtin_table1()  # IDs, one array per measurement column, labels
 specs = default_variable_specs()
 
 print("the cohort:")
-for r in records:
-    vals = "  ".join(f"{k}={v:g}" for k, v in r.measurements.items())
-    print(f"  {r.id:>6}  {vals}  [{r.label}]")
+for i, oid in enumerate(cohort.ids):
+    vals = "  ".join(f"{col}={xs[i]:g}" for col, xs in cohort.columns.items())
+    print(f"  {oid:>6}  {vals}  [{cohort.labels[i]}]")
 
-sets = fuzzify_cohort(records, specs)
+sets = fuzzify_cohort(cohort, specs)
 age = sets[0]
 print("\nthe age variable as a fuzzy soft set:")
 print(to_table(age, decimals=2))

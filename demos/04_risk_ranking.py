@@ -39,10 +39,11 @@ print(f"accuracy against the ground-truth split: {accuracy:.2f}")
 
 # The recomputed route: fuzzify, then product, compare, score and classify.
 specs = default_variable_specs()
-sets = fuzzify_cohort(builtin_table1(), specs)
+cohort = builtin_table1()
+sets = fuzzify_cohort(cohort, specs)
 recomputed = scores(comparison_table(product_n(sets, combiner="max"), mode="count"))
 recomputed_predictions = classify(recomputed, threshold=0.0)
-labels = {r.id: r.label for r in builtin_table1()}
+labels = dict(zip(cohort.ids, cohort.labels))
 print(f"\nrecomputed product ({recomputed.parameter_count} columns) instead:")
 for oid in recomputed.universe:
     print(f"  {oid:>6}  score {recomputed.score(oid):6d}  -> {recomputed_predictions[oid]}")

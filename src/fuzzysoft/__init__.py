@@ -14,18 +14,17 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, FuzzySoftError, InternalError
 from .membership import MembershipFunction, left_shoulder, make_piecewise, right_shoulder, triangle
-from .softset import FuzzySoftSet, from_table, positional_labels, product, product_n, restrict, to_table
+from .softset import FuzzySoftSet, from_table, product, product_n, restrict, to_table
 from .variables import (
     HEALTHY_CONTROL,
     PATIENT,
+    Cohort,
     ErrataCell,
     Partition,
-    PatientRecord,
     VariableSpec,
     default_variable_specs,
     errata_report,
     fuzzify_cohort,
-    fuzzify_value,
     load_variable_specs,
     specs_from_json,
     specs_to_json,
@@ -43,7 +42,7 @@ from .scoring import (
     report_to_csv,
     scores,
 )
-from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv, select_samples
+from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv
 from .pipeline import BUILTIN_SOURCE, PipelineConfig, RunResult, emit_curves, run_pipeline
 from .verify import verify_fixtures
 
@@ -64,15 +63,13 @@ __all__ = [
     "restrict",
     "to_table",
     "from_table",
-    "positional_labels",
     "HEALTHY_CONTROL",
     "PATIENT",
     "Partition",
     "VariableSpec",
-    "PatientRecord",
+    "Cohort",
     "ErrataCell",
     "default_variable_specs",
-    "fuzzify_value",
     "fuzzify_cohort",
     "errata_report",
     "specs_to_json",
@@ -96,7 +93,6 @@ __all__ = [
     "DatasetSchema",
     "DEFAULT_SCHEMA",
     "load_csv",
-    "select_samples",
     "builtin_table1",
     "BUILTIN_SOURCE",
     "PipelineConfig",

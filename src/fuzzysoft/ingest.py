@@ -1,4 +1,4 @@
-"""Loading the blood-marker CSV and the built-in ten-patient cohort.
+"""Loading the blood-marker CSV and the built-in ten-patient cohort, by column.
 
 The expected file layout is the Coimbra breast-cancer dataset from the UCI
 Machine Learning Repository: a header row, comma delimiter, UTF-8, with
@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DataError
-from .variables import HEALTHY_CONTROL, PATIENT, PatientRecord, VariableSpec, default_variable_specs
+from .variables import HEALTHY_CONTROL, PATIENT, Cohort, VariableSpec, default_variable_specs
 
 __all__ = [
     "DatasetSchema",
     "DEFAULT_SCHEMA",
     "load_csv",
-    "select_samples",
     "builtin_table1",
 ]
 
@@ -72,11 +71,11 @@ def _parse_measurement(cell: str, row: int, column: str) -> float:
 
 def load_csv(
     path, schema: DatasetSchema = DEFAULT_SCHEMA, specs: Sequence[VariableSpec] | None = None
-) -> list[PatientRecord]:
-    """Read patient records from a CSV file, in file order.
+) -> Cohort:
+    """Read a cohort from a CSV file, in file order.
 
-    Each record holds the measurement columns ``specs`` name (default: the
-    built-in variables) and the class label. Object IDs are mu_1 ... mu_n by
+    The cohort holds the measurement columns ``specs`` name (default: the
+    built-in variables) and the class labels. Object IDs are mu_1 ... mu_n by
     1-based data-row position unless the schema names an explicit ID column,
     whose values must be unique. Parse failures name the row and column.
     """
@@ -104,77 +103,44 @@ def load_csv(
             raise DataError(f"{path}: missing ID column {schema.id_column!r}")
         id_index = header.index(schema.id_column)
 
-    records = []
-    seen_ids: set[str] = set()
+    values: dict[str, list[float]] = {col: [] for col in columns}
+    ids: dict[str, None] = {}  # insertion-ordered, for the duplicate check
+    labels = []
     for pos, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {pos} has {len(row)} cells, expected {len(header)}")
-        measurements = {
-            col: _parse_measurement(row[index[col]], pos, header[index[col]]) for col in columns
-        }
+        for col in columns:
+            values[col].append(_parse_measurement(row[index[col]], pos, header[index[col]]))
         raw_label = row[index[LABEL_COLUMN]].strip()
         if raw_label not in schema.label_encoding:
             raise DataError(
                 f"{path}: row {pos}: unknown label value {raw_label!r} "
                 f"(expected one of {sorted(schema.label_encoding)})"
             )
+        labels.append(schema.label_encoding[raw_label])
         oid = row[id_index].strip() if id_index is not None else f"{OBJECT_ID_PREFIX}{pos}"
-        if oid in seen_ids:
+        if oid in ids:
             raise DataError(f"{path}: row {pos}: duplicate object ID {oid!r}")
-        seen_ids.add(oid)
-        records.append(
-            PatientRecord(id=oid, measurements=measurements, label=schema.label_encoding[raw_label])
-        )
-    return records
-
-
-def select_samples(
-    records: Sequence[PatientRecord], selection: Iterable[int | str]
-) -> list[PatientRecord]:
-    """Pick records by 1-based position (int) or object ID (str), in request order."""
-    by_id = {r.id: r for r in records}
-    picked = []
-    for key in selection:
-        if isinstance(key, int):
-            if not 1 <= key <= len(records):
-                raise DataError(f"index {key} out of range 1..{len(records)}")
-            picked.append(records[key - 1])
-        else:
-            if key not in by_id:
-                raise DataError(f"unknown object ID {key!r}")
-            picked.append(by_id[key])
-    return picked
+        ids[oid] = None
+    return Cohort(tuple(ids), values, tuple(labels))
 
 
 # The published ten-patient sample, with ground-truth classes: the first five
-# are healthy controls, the last five are patients.
-_TABLE1 = (
-    ("3", 82, 23.12, 4.50, 17.94, 22.43, HEALTHY_CONTROL),
-    ("11", 49, 23.01, 5.66, 35.59, 26.72, HEALTHY_CONTROL),
-    ("19", 64, 34.53, 4.43, 21.21, 5.46, HEALTHY_CONTROL),
-    ("31", 66, 36.21, 15.53, 74.71, 7.54, HEALTHY_CONTROL),
-    ("45", 71, 30.30, 8.34, 56.50, 8.13, HEALTHY_CONTROL),
-    ("60", 62, 22.66, 3.48, 9.86, 11.24, PATIENT),
-    ("71", 44, 24.74, 58.46, 18.16, 16.10, PATIENT),
-    ("82", 71, 25.51, 10.40, 19.07, 5.49, PATIENT),
-    ("91", 82, 31.22, 18.08, 31.65, 9.92, PATIENT),
-    ("104", 57, 34.84, 12.55, 33.16, 2.36, PATIENT),
-)
+# are healthy controls, the last five are patients. The numbers are the rows'
+# 1-based positions in the full dataset.
+_TABLE1_ROWS = (3, 11, 19, 31, 45, 60, 71, 82, 91, 104)
+_TABLE1_COLUMNS = {
+    "Age": (82, 49, 64, 66, 71, 62, 44, 71, 82, 57),
+    "BMI": (23.12, 23.01, 34.53, 36.21, 30.30, 22.66, 24.74, 25.51, 31.22, 34.84),
+    "Insulin": (4.50, 5.66, 4.43, 15.53, 8.34, 3.48, 58.46, 10.40, 18.08, 12.55),
+    "Leptin": (17.94, 35.59, 21.21, 74.71, 56.50, 9.86, 18.16, 19.07, 31.65, 33.16),
+    "Adiponectin": (22.43, 26.72, 5.46, 7.54, 8.13, 11.24, 16.10, 5.49, 9.92, 2.36),
+}
+_TABLE1_LABELS = (HEALTHY_CONTROL,) * 5 + (PATIENT,) * 5
 
 
-def builtin_table1() -> list[PatientRecord]:
+def builtin_table1() -> Cohort:
     """The published ten-patient cohort, so the pipeline runs with no external file."""
-    return [
-        PatientRecord(
-            id=f"{OBJECT_ID_PREFIX}{num}",
-            measurements={
-                "Age": float(age),
-                "BMI": bmi,
-                "Insulin": insulin,
-                "Leptin": leptin,
-                "Adiponectin": adiponectin,
-            },
-            label=label,
-        )
-        for num, age, bmi, insulin, leptin, adiponectin, label in _TABLE1
-    ]
+    return Cohort(
+        tuple(f"{OBJECT_ID_PREFIX}{row}" for row in _TABLE1_ROWS), _TABLE1_COLUMNS, _TABLE1_LABELS
+    )

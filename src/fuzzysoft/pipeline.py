@@ -193,12 +193,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     # Ingest the columns the variables name, and fuzzify.
     specs = default_variable_specs() if cfg.spec_path is None else load_variable_specs(cfg.spec_path)
     if cfg.data_source == BUILTIN_SOURCE:
-        records = builtin_table1()
+        cohort = builtin_table1()
     else:
-        records = load_csv(cfg.data_source, cfg.schema, specs)
-        if not records:
+        cohort = load_csv(cfg.data_source, cfg.schema, specs)
+        if not cohort.ids:
             raise DataError(f"{cfg.data_source}: no data rows")
-    var_sets = fuzzify_cohort(records, specs)
+    var_sets = fuzzify_cohort(cohort, specs)
 
     # Errata against the published per-variable tables, where comparable.
     published = fixtures.published_variable_tables()
@@ -247,9 +247,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     report = scores(table)
     predictions = classify(report, cfg.threshold)
     report = replace(report, predictions=predictions)
-    labels = {r.id: r.label for r in records if r.label is not None}
+    labels = dict(zip(cohort.ids, cohort.labels))
     accuracy = None
-    if labels and set(labels) == set(report.universe):
+    if set(labels) == set(report.universe):
         accuracy = evaluate(predictions, labels)
         report = replace(report, accuracy=accuracy)
 

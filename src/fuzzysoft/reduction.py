@@ -64,13 +64,13 @@ def choice_values(s: FuzzySoftSet) -> np.ndarray:
     return f
 
 
-def optimal_objects(s: FuzzySoftSet, tie_epsilon: float = TIE_EPSILON) -> frozenset[str]:
-    """Objects whose choice value is within ``tie_epsilon`` of the maximum."""
+def optimal_objects(s: FuzzySoftSet) -> frozenset[str]:
+    """Objects whose choice value is within ``TIE_EPSILON`` of the maximum."""
     if not s.universe:
         raise ValueError("optimal_objects needs a non-empty universe")
     f = choice_values(s)
     best = f.max()
-    return frozenset(s.universe[i] for i in np.flatnonzero(f >= best - tie_epsilon))
+    return frozenset(s.universe[i] for i in np.flatnonzero(f >= best - TIE_EPSILON))
 
 
 def is_dispensable(s: FuzzySoftSet, subset: Iterable[str]) -> bool:

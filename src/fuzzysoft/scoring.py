@@ -64,12 +64,6 @@ class ComparisonTable:
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
-    def cell(self, row_id: str, col_id: str) -> float:
-        i = self.universe.index(row_id)
-        j = self.universe.index(col_id)
-        value = self.counts[i, j]
-        return int(value) if self.mode == "count" else float(value)
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreReport:

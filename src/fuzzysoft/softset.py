@@ -32,8 +32,6 @@ __all__ = [
     "grid_chunks",
     "csv_field",
     "from_table",
-    "format_rows",
-    "positional_labels",
 ]
 
 PRODUCT_SEPARATOR = "×"  # multiplication sign, joins parameter labels
@@ -142,12 +140,7 @@ def restrict(s: FuzzySoftSet, keep: Iterable[str]) -> FuzzySoftSet:
     )
 
 
-def positional_labels(s: FuzzySoftSet, prefix: str = "€") -> dict[str, str]:
-    """Display aliases keyed by column index, in the study's positional style."""
-    return {p: f"{prefix}{j + 1}" for j, p in enumerate(s.parameters)}
-
-
-# Cells formatted at once by format_rows. It bounds the temporaries, above all
+# Cells formatted at once by _row_blocks. It bounds the temporaries, above all
 # the block's formatted strings, which would otherwise raise peak RSS.
 _FORMAT_BLOCK_CELLS = 1 << 14
 
@@ -169,7 +162,16 @@ def csv_field(text: str) -> str:
 
 
 def _row_blocks(grid: np.ndarray, fmt: Callable) -> Iterator[list[list[str]]]:
-    """``format_rows``, one list of rows per block of at most ``_FORMAT_BLOCK_CELLS`` cells."""
+    """Each row of a 2-D numeric array as a list of ``fmt(value)`` strings, one
+    list of rows per block of at most ``_FORMAT_BLOCK_CELLS`` cells.
+
+    Equal to ``[fmt(v) for v in row.tolist()]`` per row, but each distinct
+    value is formatted once. An integer grid whose values span fewer integers
+    than it has cells formats every integer in that span once and looks the
+    cells up by offset. Any other grid formats the distinct values of each
+    block; values are told apart by bit pattern, so -0.0 and 0.0 keep their
+    own text.
+    """
     grid = np.ascontiguousarray(grid)
     n_rows, n_cols = grid.shape
     step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
@@ -191,32 +193,20 @@ def _row_blocks(grid: np.ndarray, fmt: Callable) -> Iterator[list[list[str]]]:
         yield texts[index].reshape(block.shape).tolist()
 
 
-def format_rows(grid: np.ndarray, fmt: Callable) -> Iterator[list[str]]:
-    """Each row of a 2-D numeric array as a list of ``fmt(value)`` strings.
-
-    Equal to ``[fmt(v) for v in row.tolist()]`` per row, but each distinct
-    value is formatted once. An integer grid whose values span fewer integers
-    than it has cells formats every integer in that span once and looks the
-    cells up by offset. Any other grid formats the distinct values of each
-    block of rows; values are told apart by bit pattern, so -0.0 and 0.0
-    keep their own text.
-    """
-    for rows in _row_blocks(grid, fmt):
-        yield from rows
-
-
 def grid_chunks(header: Sequence[str], ids: Iterable[str], grid: np.ndarray, fmt: Callable) -> Iterator[str]:
     """CSV text of a grid with one ID per row: the header line, then one chunk per row block.
 
     Header cells and IDs go through ``csv_field``; formatted numbers never
-    need quoting. Only one block's text exists at a time.
+    need quoting. With no value columns an empty ID is written ``""``, as the
+    csv module writes a row of one empty cell, so it does not read as a blank
+    line. Only one block's text exists at a time.
     """
     yield ",".join(map(csv_field, header)) + "\n"
-    sep = "," if grid.shape[1] else ""
+    sep, empty_id = (",", "") if grid.shape[1] else ("", '""')
     ids = iter(ids)
     for rows in _row_blocks(grid, fmt):
         # rows first, so zip stops without drawing the next block's first ID
-        yield "".join(f"{csv_field(oid)}{sep}{','.join(cells)}\n" for cells, oid in zip(rows, ids))
+        yield "".join(f"{csv_field(oid) or empty_id}{sep}{','.join(cells)}\n" for cells, oid in zip(rows, ids))
 
 
 def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[str]:
@@ -238,8 +228,9 @@ def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
 def from_table(text: str) -> FuzzySoftSet:
     """Parse CSV text produced by ``to_table`` (or compatible external files).
 
-    Blank rows and rows whose text starts with an unquoted ``#`` are
-    ignored, so a quoted ID such as ``"#a"`` is data. A quoted cell may span
+    Rows whose text is only whitespace and rows whose text starts with an
+    unquoted ``#`` are ignored, so quoted IDs such as ``""`` and ``"#a"`` are
+    data. A quoted cell may span
     lines. Errors name the 1-based line the offending row ends on: ragged
     rows, non-numeric cells, duplicate headers.
     """
@@ -248,8 +239,9 @@ def from_table(text: str) -> FuzzySoftSet:
     reader = csv.reader(lines)
     end = 0
     for row in reader:
-        start, end = end, reader.line_num  # the row's lines are lines[start:end]
-        if not row or (len(row) == 1 and not row[0].strip()) or lines[start].lstrip().startswith("#"):
+        start, end = end, reader.line_num
+        raw = "".join(lines[start:end]).lstrip()
+        if not raw or raw.startswith("#"):
             continue
         rows.append((end, row))
     if not rows:

@@ -1,9 +1,9 @@
 """Clinical variable definitions and fuzzification.
 
 Five variables (age, body mass index, insulin, leptin, adiponectin) are each
-partitioned into labeled fuzzy sets. Fuzzifying a patient record evaluates
-every partition's membership function at the record's measurement, producing
-one fuzzy soft set per variable over the cohort.
+partitioned into labeled fuzzy sets. Fuzzifying a cohort evaluates every
+partition's membership function at each record's measurement, producing one
+fuzzy soft set per variable over the cohort.
 
 The default partitions reproduce a published risk-ranking study. The study's
 printed fuzzy-soft-set tables are not always consistent with its own membership
@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +29,9 @@ __all__ = [
     "PATIENT",
     "Partition",
     "VariableSpec",
-    "PatientRecord",
+    "Cohort",
     "ErrataCell",
     "default_variable_specs",
-    "fuzzify_value",
     "fuzzify_cohort",
     "errata_report",
     "specs_to_json",
@@ -90,24 +90,40 @@ class VariableSpec:
         return [f"({self.name})_{p.code}" for p in self.partitions]
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One row of clinical measurements, with optional ground-truth class."""
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """Patients held by column: object IDs, one float array per measurement
+    column, and one ground-truth class per row, all in row order."""
 
-    id: str
-    measurements: dict[str, float]
-    label: str | None = None
+    ids: tuple[str, ...]
+    columns: Mapping[str, np.ndarray] = field(repr=False)
+    labels: tuple[str, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        for col, val in self.measurements.items():
-            if not (isinstance(val, (int, float)) and math.isfinite(val)) or val < 0:
-                raise ValueError(
-                    f"record {self.id!r}: measurement {col}={val!r} must be finite and non-negative"
-                )
-        if self.label is not None and self.label not in (HEALTHY_CONTROL, PATIENT):
+        ids, labels = tuple(self.ids), tuple(self.labels)
+        if len(labels) != len(ids):
+            raise ValueError(f"cohort has {len(labels)} label(s) for {len(ids)} ID(s)")
+        unknown = set(labels) - {HEALTHY_CONTROL, PATIENT}
+        if unknown:
             raise ValueError(
-                f"record {self.id!r}: label must be {HEALTHY_CONTROL!r} or {PATIENT!r}, got {self.label!r}"
+                f"labels must be {HEALTHY_CONTROL!r} or {PATIENT!r}, got {sorted(unknown, key=str)}"
             )
+        columns = {}
+        for col, values in self.columns.items():
+            xs = np.array(values, dtype=float)
+            if xs.shape != (len(ids),):
+                raise ValueError(f"column {col!r} has shape {xs.shape}, expected one value per ID")
+            bad = np.flatnonzero(~(np.isfinite(xs) & (xs >= 0)))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(
+                    f"record {ids[i]!r}: measurement {col}={float(xs[i])!r} must be finite and non-negative"
+                )
+            xs.setflags(write=False)
+            columns[col] = xs
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "columns", MappingProxyType(columns))
+        object.__setattr__(self, "labels", labels)
 
 
 class ErrataCell(NamedTuple):
@@ -185,36 +201,32 @@ def default_variable_specs() -> list[VariableSpec]:
     ]
 
 
-def fuzzify_value(spec: VariableSpec, x: float) -> dict[str, float]:
-    """Degrees of ``x`` in every partition of ``spec``, keyed by partition code."""
-    if not math.isfinite(x):
-        raise ValueError(f"measurement for {spec.name} must be finite, got {x}")
-    return {p.code: p.mf.evaluate(x) for p in spec.partitions}
+def _first_ids(ids: Sequence[str]) -> str:
+    return ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
 
 
-def fuzzify_cohort(
-    records: Sequence[PatientRecord], specs: Sequence[VariableSpec]
-) -> list[FuzzySoftSet]:
+def fuzzify_cohort(cohort: Cohort, specs: Sequence[VariableSpec]) -> list[FuzzySoftSet]:
     """Fuzzify a cohort into one fuzzy soft set per variable.
 
-    Row order follows the input records; parameter labels are the qualified
+    Row order follows the cohort; parameter labels are the qualified
     per-variable labels. A record landing outside every partition's support is
     legal (an all-zero row); each variable logs one warning counting them.
     """
-    universe = tuple(r.id for r in records)
+    universe = cohort.ids
     sets = []
     for spec in specs:
-        missing = next((r.id for r in records if spec.column not in r.measurements), None)
-        if missing is not None:
-            raise DataError(f"record {missing!r} has no {spec.column!r} measurement")
-        xs = np.array([r.measurements[spec.column] for r in records], dtype=float)
+        if spec.column not in cohort.columns:
+            raise DataError(
+                f"no {spec.column!r} measurement for any of the {len(universe)} record(s): "
+                f"{_first_ids(universe)}"
+            )
+        xs = cohort.columns[spec.column]
         degrees = np.column_stack([p.mf.evaluate_many(xs) for p in spec.partitions])
         outside = [universe[i] for i in np.flatnonzero(degrees.max(axis=1) == 0.0)]
         if outside:
             log.warning(
-                "%d record(s) have %s outside every %s partition (all degrees zero): %s%s",
-                len(outside), spec.column, spec.name, ", ".join(outside[:5]),
-                ", ..." if len(outside) > 5 else "",
+                "%d record(s) have %s outside every %s partition (all degrees zero): %s",
+                len(outside), spec.column, spec.name, _first_ids(outside),
             )
         sets.append(FuzzySoftSet(universe=universe, parameters=tuple(spec.labels), degrees=degrees))
     return sets

@@ -78,9 +78,8 @@ class VerificationReport:
 
 
 def _computed_variable_sets() -> dict[str, FuzzySoftSet]:
-    records = builtin_table1()
     specs = default_variable_specs()
-    return {spec.name: s for spec, s in zip(specs, fuzzify_cohort(records, specs))}
+    return {spec.name: s for spec, s in zip(specs, fuzzify_cohort(builtin_table1(), specs))}
 
 
 def _check_variable_table(var: str, computed: FuzzySoftSet) -> CheckResult:

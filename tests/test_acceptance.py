@@ -71,7 +71,7 @@ def test_criterion_01_age_fuzzification(computed, published_sets, specs_by_name)
     within = int((delta <= TOL).sum())
 
     age = specs_by_name["AGE"]
-    ages = [r.measurements["Age"] for r in builtin_table1()]
+    ages = builtin_table1().columns["Age"].tolist()
     best = min(
         _timed_fuzzify(age, ages) for _ in range(5)
     )

@@ -107,6 +107,15 @@ def test_missing_csv_exits_2(tmp_path):
     assert run_cli("run", "--out", str(tmp_path / "o"), "--data", str(tmp_path / "nope.csv")) == 2
 
 
+def test_header_only_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("Age,BMI,Insulin,Leptin,Adiponectin,Classification\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run_cli("run", "--out", str(out), "--data", str(data)) == 2
+    assert "no data rows" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
 def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--not-a-flag")
@@ -196,6 +205,17 @@ def test_spec_on_an_unmodeled_csv_column_runs(tmp_path, csv_116):
     out = tmp_path / "out"
     assert run_cli("run", "--out", str(out), "--data", str(csv_116), "--spec", str(spec_file)) == 0
     assert (out / "fuzzy_GLU.csv").read_text(encoding="utf-8").startswith("object,(GLU)_L,(GLU)_H\n")
+
+
+def test_spec_on_a_column_the_builtin_cohort_lacks_exits_2(tmp_path, capsys):
+    # the built-in cohort holds only the five default marker columns
+    spec = [{"name": "GLU", "column": "Glucose", "partitions": [{"label": "H", "nodes": [[90, 0], [130, 1]]}]}]
+    spec_file = tmp_path / "glucose.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 2
+    assert "'Glucose'" in capsys.readouterr().err
+    assert _empty_or_absent(out)
 
 
 def test_reduction_over_the_parameter_cap_exits_1(tmp_path):

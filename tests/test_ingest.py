@@ -10,7 +10,6 @@ from fuzzysoft import (
     builtin_table1,
     load_csv,
     right_shoulder,
-    select_samples,
 )
 
 MU = "μ_"
@@ -18,19 +17,25 @@ MU = "μ_"
 TABLE1_POSITIONS = [3, 11, 19, 31, 45, 60, 71, 82, 91, 104]
 
 
+COLUMNS = ["Age", "BMI", "Insulin", "Leptin", "Adiponectin"]
+
+
 def test_builtin_cohort_shape_and_labels():
-    records = builtin_table1()
-    assert len(records) == 10
-    assert [r.id for r in records] == [f"{MU}{n}" for n in TABLE1_POSITIONS]
-    assert sum(r.label == HEALTHY_CONTROL for r in records) == 5
-    assert sum(r.label == PATIENT for r in records) == 5
+    cohort = builtin_table1()
+    assert len(cohort.ids) == 10
+    assert list(cohort.ids) == [f"{MU}{n}" for n in TABLE1_POSITIONS]
+    assert list(cohort.columns) == COLUMNS
+    assert all(xs.shape == (10,) and xs.dtype == float for xs in cohort.columns.values())
+    assert cohort.labels.count(HEALTHY_CONTROL) == 5
+    assert cohort.labels.count(PATIENT) == 5
 
 
 def test_builtin_cohort_spot_values():
-    by_id = {r.id: r for r in builtin_table1()}
-    assert by_id[f"{MU}71"].measurements["Insulin"] == 58.46
-    assert by_id[f"{MU}104"].measurements["Adiponectin"] == 2.36
-    assert by_id[f"{MU}3"].measurements == {
+    cohort = builtin_table1()
+    row = {oid: i for i, oid in enumerate(cohort.ids)}
+    assert cohort.columns["Insulin"][row[f"{MU}71"]] == 58.46
+    assert cohort.columns["Adiponectin"][row[f"{MU}104"]] == 2.36
+    assert {col: xs[row[f"{MU}3"]] for col, xs in cohort.columns.items()} == {
         "Age": 82.0,
         "BMI": 23.12,
         "Insulin": 4.50,
@@ -40,46 +45,32 @@ def test_builtin_cohort_spot_values():
 
 
 def test_load_csv_reads_all_rows(csv_116):
-    records = load_csv(csv_116)
-    assert len(records) == 116
-    assert records[0].id == f"{MU}1"
-    assert records[-1].id == f"{MU}116"
+    cohort = load_csv(csv_116)
+    assert len(cohort.ids) == len(cohort.labels) == 116
+    assert all(xs.shape == (116,) for xs in cohort.columns.values())
+    assert cohort.ids[0] == f"{MU}1"
+    assert cohort.ids[-1] == f"{MU}116"
 
 
 def test_load_csv_row_3_matches_cohort(csv_116):
-    records = load_csv(csv_116)
-    mu3 = records[2]
-    assert mu3.id == f"{MU}3"
-    assert mu3.measurements["Age"] == 82.0
-    assert mu3.measurements["BMI"] == 23.12
-    assert mu3.measurements["Insulin"] == 4.50
-    assert mu3.measurements["Leptin"] == 17.94
-    assert mu3.measurements["Adiponectin"] == 22.43
-    assert mu3.label == HEALTHY_CONTROL
+    cohort = load_csv(csv_116)
+    assert cohort.ids[2] == f"{MU}3"
+    assert cohort.columns["Age"][2] == 82.0
+    assert cohort.columns["BMI"][2] == 23.12
+    assert cohort.columns["Insulin"][2] == 4.50
+    assert cohort.columns["Leptin"][2] == 17.94
+    assert cohort.columns["Adiponectin"][2] == 22.43
+    assert cohort.labels[2] == HEALTHY_CONTROL
 
 
-def test_select_samples_reproduces_builtin_cohort(csv_116):
-    records = load_csv(csv_116)
-    picked = select_samples(records, TABLE1_POSITIONS)
-    for got, want in zip(picked, builtin_table1()):
-        assert got.id == want.id
-        assert got.measurements == want.measurements
-        assert got.label == want.label
-
-
-def test_select_samples_by_id_and_order(csv_116):
-    records = load_csv(csv_116)
-    picked = select_samples(records, [f"{MU}104", f"{MU}3"])
-    assert [r.id for r in picked] == [f"{MU}104", f"{MU}3"]
-
-
-def test_select_samples_empty_and_errors(csv_116):
-    records = load_csv(csv_116)
-    assert select_samples(records, []) == []
-    with pytest.raises(DataError):
-        select_samples(records, [999])
-    with pytest.raises(DataError):
-        select_samples(records, ["nope"])
+def test_builtin_cohort_is_the_file_rows_at_table1_positions(csv_116):
+    full, builtin = load_csv(csv_116), builtin_table1()
+    rows = [n - 1 for n in TABLE1_POSITIONS]
+    assert builtin.ids == tuple(full.ids[i] for i in rows)
+    assert list(builtin.columns) == list(full.columns) == COLUMNS
+    for col in COLUMNS:
+        assert builtin.columns[col].tolist() == full.columns[col][rows].tolist(), col
+    assert builtin.labels == tuple(full.labels[i] for i in rows)
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -134,6 +125,19 @@ def test_ragged_row_is_rejected(tmp_path):
         load_csv(path)
 
 
+def test_first_bad_cell_in_file_order_is_reported(tmp_path):
+    path = _write(tmp_path, HEADER + "\n50,25.0,90,4.2,2.1,ten,12,8,300,1\nfifty,25.0,90,4.2,2.1,10,12,8,300,1\n")
+    with pytest.raises(DataError, match=r"row 1, column 'Leptin'"):
+        load_csv(path)
+
+
+def test_header_only_file_gives_an_empty_cohort(tmp_path):
+    cohort = load_csv(_write(tmp_path, HEADER + "\n"))
+    assert cohort.ids == () and cohort.labels == ()
+    assert list(cohort.columns) == COLUMNS
+    assert all(xs.shape == (0,) and xs.dtype == float for xs in cohort.columns.values())
+
+
 def test_nonexistent_file(tmp_path):
     with pytest.raises(DataError):
         load_csv(tmp_path / "missing.csv")
@@ -158,19 +162,21 @@ def test_schema_with_explicit_id_column(tmp_path):
         label_encoding={"control": HEALTHY_CONTROL, "case": PATIENT},
         id_column="pid",
     )
-    records = load_csv(path, schema)
-    assert [r.id for r in records] == ["P-7", "P-9"]
-    assert records[0].label == PATIENT
-    assert records[0].measurements["Age"] == 44.0
+    cohort = load_csv(path, schema)
+    assert cohort.ids == ("P-7", "P-9")
+    assert cohort.labels == (PATIENT, HEALTHY_CONTROL)
+    assert cohort.columns["Age"].tolist() == [44.0, 49.0]
 
 
 def test_spec_columns_are_read_through_the_schema_at_load_time(tmp_path, csv_116):
     text = csv_116.read_text(encoding="utf-8").replace("Age,", "years,", 1)
     # only Age is mapped; the other names read the header of the same name
-    records = load_csv(_write(tmp_path, text), DatasetSchema(column_map={"Age": "years"}))
-    assert records[0].measurements == load_csv(csv_116)[0].measurements
+    cohort = load_csv(_write(tmp_path, text), DatasetSchema(column_map={"Age": "years"}))
+    reference = load_csv(csv_116)
+    assert list(cohort.columns) == list(reference.columns)
+    assert all(cohort.columns[c].tolist() == reference.columns[c].tolist() for c in cohort.columns)
     glucose = VariableSpec("GLU", "Glucose", (Partition("H", "High", right_shoulder(90, 130)),))
-    assert list(load_csv(csv_116, specs=[glucose])[0].measurements) == ["Glucose"]
+    assert list(load_csv(csv_116, specs=[glucose]).columns) == ["Glucose"]
     no_glucose = _write(tmp_path, text.replace("Glucose,", "Other,", 1), "other.csv")
     with pytest.raises(DataError, match="Glucose"):
         load_csv(no_glucose, specs=[glucose])

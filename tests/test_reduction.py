@@ -60,6 +60,12 @@ def test_optimal_objects_exact_tie():
     assert optimal_objects(s) == frozenset({"a", "b"})
 
 
+def test_optimal_objects_absorbs_gaps_up_to_tie_epsilon():
+    degrees = np.array([[0.5, 0.5], [0.5, 0.5 - TIE_EPSILON / 2], [0.5, 0.5 - 2 * TIE_EPSILON]])
+    s = FuzzySoftSet(("a", "b", "c"), ("p", "q"), degrees)
+    assert optimal_objects(s) == frozenset({"a", "b"})
+
+
 def test_optimal_objects_rejects_empty_universe():
     s = FuzzySoftSet((), ("p",), np.zeros((0, 1)))
     with pytest.raises(ValueError):

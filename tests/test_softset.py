@@ -9,13 +9,12 @@ from fuzzysoft import (
     DataError,
     FuzzySoftSet,
     from_table,
-    positional_labels,
     product,
     product_n,
     restrict,
     to_table,
 )
-from fuzzysoft.softset import csv_field, format_rows
+from fuzzysoft.softset import csv_field, grid_chunks
 
 MU = "μ_"
 X = "×"
@@ -161,6 +160,12 @@ def test_round_trip_with_ids_that_start_like_comments(ids):
     assert from_table(text + "# config=abc version=0.0.0\n") == s
 
 
+def test_from_table_skips_only_rows_of_whitespace():
+    s = from_table('object\n""\n  \n\n" "\nb\n')
+    assert s.universe == ("", " ", "b")
+    assert s.shape == (3, 0)
+
+
 def test_from_table_skips_comment_lines_anywhere():
     text = '# head\nobject,p\n  # indented, "quoted" comment\n"#a",0.5\n\n#b,0.25\nc,1.0\n# tail\n'
     s = from_table(text)
@@ -229,12 +234,6 @@ def test_degree_matrix_is_read_only(computed_sets):
         computed_sets["AGE"].degrees[0, 0] = 0.5
 
 
-def test_positional_labels_alias(published_sets):
-    aliases = positional_labels(published_sets["BMI"])
-    assert aliases["(BMI)_OI"] == "€1"
-    assert aliases["(BMI)_OIII"] == "€3"
-
-
 def test_product_permutation_equivariance(computed_sets):
     a = computed_sets["AGE"]
     b = computed_sets["BMI"]
@@ -282,7 +281,10 @@ _QUOTED_IDS = ("plain", "with,comma", 'with"quote', " spaced ", "", "semi;colon"
 @pytest.mark.parametrize("decimals", [None, 6, 2])
 def test_to_table_equals_per_cell_formatting(monkeypatch, block_cells, decimals):
     monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
-    for s in (_edge_set(), _edge_set(len(_QUOTED_IDS), 1, _QUOTED_IDS), _edge_set(3, 0)):
+    for s in (
+        _edge_set(), _edge_set(len(_QUOTED_IDS), 1, _QUOTED_IDS), _edge_set(3, 0),
+        _edge_set(len(_QUOTED_IDS), 0, _QUOTED_IDS),
+    ):
         assert to_table(s, decimals) == _per_cell_table(s, decimals)
 
 
@@ -293,10 +295,21 @@ def test_to_table_keeps_signed_zero_apart():
 
 
 def test_round_trip_with_quoted_ids_and_edge_values():
-    s = _edge_set(len(_QUOTED_IDS), 9, _QUOTED_IDS)
-    back = from_table(to_table(s))
-    assert back == s
-    assert np.array_equal(back.degrees.view(np.int64), s.degrees.view(np.int64))
+    # with no parameters, the empty ID is a row of one empty cell
+    for m in (9, 0):
+        s = _edge_set(len(_QUOTED_IDS), m, _QUOTED_IDS)
+        back = from_table(to_table(s))
+        assert back == s
+        assert np.array_equal(back.degrees.view(np.int64), s.degrees.view(np.int64))
+
+
+def _grid_text(grid, fmt, per_cell_fmt=None):
+    """``grid_chunks`` of ``grid`` with ``fmt``, and the same CSV text with one
+    ``per_cell_fmt`` call (default ``fmt``) per cell."""
+    ids = [f"r{i}" for i in range(grid.shape[0])]
+    header = ["object", *(f"c{j}" for j in range(grid.shape[1]))]
+    rows = [header, *([oid, *map(per_cell_fmt or fmt, row.tolist())] for oid, row in zip(ids, grid))]
+    return "".join(grid_chunks(header, ids, grid, fmt)), "".join(",".join(row) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("block_cells", [1, 10, 1 << 14])
@@ -305,9 +318,9 @@ def test_format_rows_equals_per_cell_formatting(monkeypatch, block_cells):
     rng = np.random.default_rng(4)
     counts = rng.integers(-40, 40, size=(9, 12))
     floats = rng.choice(np.array(_EDGE_VALUES + [-1e-7, -0.5, 123.456789]), size=(9, 12))
-    for grid, fmt in ((counts, str), (floats, "{:.6f}".format), (floats, repr)):
-        assert list(format_rows(grid, fmt)) == [[fmt(v) for v in row.tolist()] for row in grid]
-    assert list(format_rows(np.zeros((2, 0)), repr)) == [[], []]
+    for grid, fmt in ((counts, str), (floats, "{:.6f}".format), (floats, repr), (np.zeros((2, 0)), repr)):
+        got, want = _grid_text(grid, fmt)
+        assert got == want, fmt
 
 
 def _counting(fmt):
@@ -338,7 +351,8 @@ def _counting(fmt):
 def test_format_rows_on_integer_grids_equals_per_cell_formatting(monkeypatch, block_cells, grid):
     monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
     fmt, calls = _counting(str)
-    assert list(format_rows(grid, fmt)) == [[str(v) for v in row.tolist()] for row in grid]
+    got, want = _grid_text(grid, fmt, str)
+    assert got == want
     if grid.size and int(grid.max()) - int(grid.min()) < grid.size:
         # every integer of the span is formatted once, for the whole grid
         assert calls == list(range(int(grid.min()), int(grid.max()) + 1))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from fuzzysoft import (
+    PATIENT,
+    Cohort,
     ConfigError,
     DataError,
-    PatientRecord,
     default_variable_specs,
     errata_report,
     fuzzify_cohort,
-    fuzzify_value,
     load_csv,
     specs_from_json,
     specs_to_json,
@@ -19,6 +19,13 @@ from fuzzysoft import (
 from fuzzysoft.softset import FuzzySoftSet
 
 MU = "μ_"
+
+
+def fuzzify_value(spec, x):
+    """Degrees of ``x`` in every partition of ``spec``, keyed by partition code,
+    from a one-record cohort."""
+    (s,) = fuzzify_cohort(Cohort(("x",), {spec.column: [x]}, (PATIENT,)), [spec])
+    return dict(zip(spec.codes, s.degrees[0].tolist()))
 
 
 def test_five_specs_with_seventeen_labels(specs):
@@ -58,11 +65,6 @@ def test_fuzzify_bmi_sample_disagrees_with_printed_table(specs_by_name):
     assert degrees == pytest.approx({"OI": 0.0, "OII": 0.52, "OIII": 0.0}, abs=1e-9)
 
 
-def test_fuzzify_value_rejects_non_finite(specs_by_name):
-    with pytest.raises(ValueError):
-        fuzzify_value(specs_by_name["AGE"], math.inf)
-
-
 def test_cohort_age_set_matches_published_within_tolerance(computed_sets, published_sets):
     got = computed_sets["AGE"]
     ref = published_sets["AGE"]
@@ -84,28 +86,31 @@ def test_cohort_set_shapes(computed_sets):
 def test_cohort_preserves_record_order(cohort, specs):
     sets = fuzzify_cohort(cohort, specs)
     for s in sets:
-        assert list(s.universe) == [r.id for r in cohort]
+        assert s.universe == cohort.ids
 
 
 def test_empty_cohort_gives_empty_universe(specs):
-    sets = fuzzify_cohort([], specs)
+    sets = fuzzify_cohort(Cohort((), {spec.column: [] for spec in specs}, ()), specs)
     assert all(s.universe == () and s.shape == (0, len(spec.labels)) for spec, s in zip(specs, sets))
 
 
 def test_missing_column_names_record_and_column(specs):
-    record = PatientRecord(id="r1", measurements={"Age": 30.0})
+    cohort = Cohort(("r1",), {"Age": [30.0]}, (PATIENT,))
     with pytest.raises(DataError, match=r"r1.*BMI|BMI.*r1"):
-        fuzzify_cohort([record], specs)
+        fuzzify_cohort(cohort, specs)
 
 
 def test_out_of_support_measurement_warns_and_yields_zero_row(caplog):
     from fuzzysoft import Partition, VariableSpec, triangle
 
     spec = VariableSpec(name="T", column="X", partitions=(Partition("a", "a", triangle(0, 1, 2)),))
-    records = [PatientRecord(id=f"edge{i}", measurements={"X": 9.0 + i}) for i in range(7)]
-    records.insert(3, PatientRecord(id="inside", measurements={"X": 1.0}))
+    ids = [f"edge{i}" for i in range(7)]
+    values = [9.0 + i for i in range(7)]
+    ids.insert(3, "inside")
+    values.insert(3, 1.0)
+    cohort = Cohort(tuple(ids), {"X": values}, (PATIENT,) * 8)
     with caplog.at_level(logging.WARNING):
-        sets = fuzzify_cohort(records, [spec])
+        sets = fuzzify_cohort(cohort, [spec])
     assert sets[0].degrees.tolist() == [[0.0]] * 3 + [[1.0]] + [[0.0]] * 4
     # one line per variable, with the count and the first few IDs
     assert len(caplog.records) == 1
@@ -116,15 +121,19 @@ def test_out_of_support_measurement_warns_and_yields_zero_row(caplog):
 
 def test_fuzzify_cohort_is_bit_identical_to_scalar_evaluation(csv_116, specs):
     rng = np.random.default_rng(11)
-    records = load_csv(csv_116)
+    file = load_csv(csv_116)
     # every breakpoint, both sides of it, and values far outside the supports
     edges = sorted({x for s in specs for p in s.partitions for x, _ in p.mf.nodes} | {0.0, 1e6})
     values = [v for x in edges for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)) if v >= 0]
     values += rng.uniform(0, 120, 200).tolist()
-    records += [PatientRecord(f"v{i}", {s.column: float(v) for s in specs}) for i, v in enumerate(values)]
-    for spec, s in zip(specs, fuzzify_cohort(records, specs)):
-        scalar = np.array([[p.mf.evaluate(r.measurements[spec.column]) for p in spec.partitions]
-                           for r in records])
+    cohort = Cohort(
+        file.ids + tuple(f"v{i}" for i in range(len(values))),
+        {col: xs.tolist() + [float(v) for v in values] for col, xs in file.columns.items()},
+        file.labels + (PATIENT,) * len(values),
+    )
+    for spec, s in zip(specs, fuzzify_cohort(cohort, specs)):
+        scalar = np.array([[p.mf.evaluate(x) for p in spec.partitions]
+                           for x in cohort.columns[spec.column].tolist()])
         assert s.degrees.tobytes() == scalar.tobytes(), spec.name  # sign of zero included
 
 
@@ -193,10 +202,23 @@ def test_specs_from_json_rejects_bad_config(text):
         specs_from_json(text)
 
 
-def test_patient_record_validation():
+def test_cohort_validation():
+    def one_record(age, label=PATIENT):
+        return Cohort(("x",), {"Age": age}, (label,))
+
+    for age in ([-1.0], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            one_record(age)
     with pytest.raises(ValueError):
-        PatientRecord(id="x", measurements={"Age": -1.0})
+        one_record([10.0], label="sick")
+    # one value per ID in every column, and one label per ID
+    with pytest.raises(ValueError, match="one value per ID"):
+        one_record([10.0, 20.0])
+    with pytest.raises(ValueError, match="label"):
+        Cohort(("x", "y"), {"Age": [1.0, 2.0]}, (PATIENT,))
+    cohort = one_record([10.0])
+    assert cohort.columns["Age"].tolist() == [10.0]
     with pytest.raises(ValueError):
-        PatientRecord(id="x", measurements={"Age": math.nan})
-    with pytest.raises(ValueError):
-        PatientRecord(id="x", measurements={"Age": 10.0}, label="sick")
+        cohort.columns["Age"][0] = 1.0
+    with pytest.raises(TypeError):
+        cohort.columns["BMI"] = np.zeros(1)
