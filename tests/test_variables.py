@@ -202,15 +202,24 @@ def test_specs_from_json_rejects_bad_config(text):
         specs_from_json(text)
 
 
-def test_cohort_validation():
-    def one_record(age, label=PATIENT):
-        return Cohort(("x",), {"Age": age}, (label,))
+def one_record(age, label=PATIENT):
+    return Cohort(("x",), {"Age": age}, (label,))
 
+
+def test_fuzzify_value_rejects_non_finite(specs_by_name):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        fuzzify_value(specs_by_name["AGE"], math.inf)
+
+
+def test_patient_record_validation():
     for age in ([-1.0], [math.nan], [math.inf]):
         with pytest.raises(ValueError, match="finite and non-negative"):
             one_record(age)
     with pytest.raises(ValueError):
         one_record([10.0], label="sick")
+
+
+def test_cohort_validation():
     # one value per ID in every column, and one label per ID
     with pytest.raises(ValueError, match="one value per ID"):
         one_record([10.0, 20.0])
