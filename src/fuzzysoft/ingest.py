@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .variables import HEALTHY_CONTROL, PATIENT, Cohort, VariableSpec, default_variable_specs
 
 __all__ = [
@@ -47,6 +47,14 @@ class DatasetSchema:
         default_factory=lambda: {"1": HEALTHY_CONTROL, "2": PATIENT}
     )
     id_column: str | None = None  # None: ids are mu_<row position>, 1-based
+
+    def __post_init__(self) -> None:
+        unknown = set(self.label_encoding.values()) - {HEALTHY_CONTROL, PATIENT}
+        if unknown:
+            raise ConfigError(
+                f"label encoding must map onto {HEALTHY_CONTROL!r} or {PATIENT!r}, "
+                f"got {sorted(unknown, key=str)}"
+            )
 
 
 DEFAULT_SCHEMA = DatasetSchema()
@@ -85,7 +93,7 @@ def load_csv(
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:

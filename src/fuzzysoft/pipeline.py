@@ -55,10 +55,10 @@ from .softset import to_table  # noqa: F401
 from .variables import (
     VariableSpec,
     default_variable_specs,
-    errata_report,
     fuzzify_cohort,
     load_variable_specs,
 )
+from .verify import errata_cells
 
 __all__ = [
     "BUILTIN_SOURCE", "REDUCTIONS", "PRODUCT_SOURCES", "PipelineConfig", "RunResult", "run_pipeline",
@@ -201,16 +201,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     var_sets = fuzzify_cohort(cohort, specs)
 
     # Errata against the published per-variable tables, where comparable.
-    published = fixtures.published_variable_tables()
-    errata_rows: list[tuple[str, str, str, float, float, float]] = []
-    for spec, computed in zip(specs, var_sets):
-        ref = published.get(spec.name)
-        if ref is None or ref.universe != computed.universe or ref.parameters != computed.parameters:
-            continue
-        for cell in errata_report(computed, ref, 0.01):
-            errata_rows.append(
-                (spec.name, cell.object_id, cell.parameter, cell.printed, cell.computed, cell.delta)
-            )
+    errata = [(spec.name, c) for spec, s in zip(specs, var_sets) for c in errata_cells(spec.name, s) or ()]
 
     # Optional per-variable reduction; the first (smallest) minimal reduct of
     # each variable is the one applied.
@@ -267,8 +258,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         "errata.csv": [
             "variable,object,parameter,printed,computed,delta\n",
             *(
-                ",".join(map(csv_field, (var, oid, param))) + f",{printed_v:.6f},{computed_v:.6f},{delta:.6f}\n"
-                for var, oid, param, printed_v, computed_v, delta in errata_rows
+                ",".join(map(csv_field, (var, c.object_id, c.parameter)))
+                + f",{c.printed:.6f},{c.computed:.6f},{c.delta:.6f}\n"
+                for var, c in errata
             ),
         ],
         "reduction.txt": ["\n".join(reduction_lines) + "\n"],

@@ -74,6 +74,10 @@ class VariableSpec:
         codes = [p.code for p in self.partitions]
         if len(set(codes)) != len(codes):
             raise ValueError(f"variable {self.name!r} has duplicate partition codes: {codes}")
+        # The name and codes are written into UTF-8 text and the name into file names.
+        for text in (self.name, *codes):
+            if "\0" in text or any("\ud800" <= ch <= "\udfff" for ch in text):
+                raise ValueError(f"variable {self.name!r}: {text!r} holds a NUL or a lone surrogate")
         lo, hi = self.display_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(
@@ -134,6 +138,12 @@ class ErrataCell(NamedTuple):
     printed: float
     computed: float
     delta: float
+
+    def __str__(self) -> str:
+        return (
+            f"({self.object_id}, {self.parameter}): computed {self.computed:.4f} "
+            f"vs printed {self.printed:.4f}"
+        )
 
 
 def default_variable_specs() -> list[VariableSpec]:
@@ -319,7 +329,7 @@ def specs_from_json(text: str) -> list[VariableSpec]:
                     display_range=tuple(entry.get("display_range", (0.0, 100.0))),  # type: ignore[arg-type]
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad variable spec entry {entry.get('name', '?')!r}: {exc}") from exc
     names = [spec.name for spec in specs]
     duplicates = sorted({name for name in names if names.count(name) > 1})
@@ -334,5 +344,5 @@ def load_variable_specs(path) -> list[VariableSpec]:
     try:
         with open(path, encoding="utf-8") as fh:
             return specs_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read variable spec config {path}: {exc}") from exc

@@ -337,3 +337,64 @@ def test_verify_exits_clean(capsys):
     assert "[PASS] age-table" in stdout
     assert "[PASS] accuracy" in stdout
     assert "[SOFT-FAIL] comparison-consistency" in stdout
+
+
+def test_undecodable_csv_exits_2(tmp_path, capsys):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"Age,BMI,Insulin,Leptin,Adiponectin,Classification\n48,23.5,2.7,8.8,9.7,1\xff\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {data}" in err and "can't decode byte 0xff" in err
+    assert _empty_or_absent(out)
+
+
+def test_csv_cell_over_the_field_limit_exits_2(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text(
+        "Age,BMI,Insulin,Leptin,Adiponectin,Classification\n"
+        f"48,23.5,2.7,8.8,9.7,{'1' * 140_000}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--data", str(data)) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {data}" in err and "field larger than field limit" in err
+    assert _empty_or_absent(out)
+
+
+@pytest.mark.parametrize("command", ["run", "curves"])
+def test_undecodable_spec_exits_1(tmp_path, capsys, command):
+    spec_file = tmp_path / "latin1.json"
+    spec_file.write_bytes(specs_to_json(default_variable_specs()).replace("Old", "\xd6ld").encode("latin-1"))
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--spec", str(spec_file)) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read variable spec config {spec_file}" in err and "can't decode byte 0xd6" in err
+    assert _empty_or_absent(out)
+
+
+@pytest.mark.parametrize("command", ["run", "curves"])
+@pytest.mark.parametrize("field, value", [
+    pytest.param("name", "A\u0000GE", id="nul-in-name"),
+    pytest.param("name", "\ud800", id="lone-surrogate-name"),
+    pytest.param("label", "\udfff", id="lone-surrogate-label"),
+    pytest.param("node", 10**400, id="int-past-float-node"),
+    pytest.param("display_range", 10**400, id="int-past-float-range"),
+])
+def test_spec_text_or_number_outside_what_outputs_can_hold_exits_1(tmp_path, capsys, command, field, value):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    if field == "name":
+        spec[0]["name"] = value
+    elif field == "label":
+        spec[0]["partitions"][0]["label"] = value
+    elif field == "node":
+        spec[0]["partitions"][0]["nodes"][0][0] = value
+    else:
+        spec[0]["display_range"][1] = value
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")  # ASCII: "\ud800" stays a JSON escape
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "bad variable spec entry" in capsys.readouterr().err
+    assert _empty_or_absent(out)

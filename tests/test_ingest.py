@@ -1,6 +1,7 @@
 import pytest
 
 from fuzzysoft import (
+    ConfigError,
     DataError,
     DatasetSchema,
     HEALTHY_CONTROL,
@@ -192,3 +193,9 @@ def test_duplicate_ids_name_the_id(tmp_path):
     path = _write(tmp_path, text)
     with pytest.raises(DataError, match="row 3.*'P-7'"):
         load_csv(path, DatasetSchema(id_column="pid"))
+
+
+def test_label_encoding_onto_unknown_classes_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"got \['case', 'control'\]"):
+        DatasetSchema(label_encoding={"1": "control", "2": "case"})
+    assert DatasetSchema(label_encoding={"0": HEALTHY_CONTROL, "1": PATIENT}).label_encoding["1"] == PATIENT

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from fuzzysoft import verify_fixtures
+from fuzzysoft.cli import main
 from fuzzysoft.fixtures import (
     PUBLISHED_SCORE_ROWS,
     published_age_bmi_product,
@@ -64,3 +68,14 @@ def test_report_formatting():
     text = verify_fixtures().format()
     assert "[PASS] age-table" in text
     assert "[SOFT-FAIL] comparison-consistency" in text
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["verify"], "verify.txt"),
+    (["verify", "--verbose"], "verify_verbose.txt"),
+])
+def test_verify_output_matches_the_recording(capsys, argv, recorded):
+    # The recordings pin verify's text: re-record them only for an intended change.
+    assert main(argv) == 0
+    expected = (Path(__file__).parent / "data" / recorded).read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
