@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .softset import FuzzySoftSet, csv_field
+from .softset import FuzzySoftSet, Levels, csv_field
 from .variables import HEALTHY_CONTROL, PATIENT
 
 __all__ = [
@@ -100,66 +100,53 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    table = _count_table if mode == "count" else _difference_table
-    return ComparisonTable(s.universe, table(s.degrees), mode, parameter_count=len(s.parameters))
+    counts = _count_table(s.levels) if mode == "count" else _difference_table(s.degrees)
+    return ComparisonTable(s.universe, counts, mode, parameter_count=len(s.parameters))
 
 
 # Columns summed into the uint8 accumulator before it is flushed (255 cannot overflow).
 _FLUSH_COLUMNS = 255
+# Pairwise tests count mode holds at once (bool, so 1 MB): one column at
+# n = 1000, many for small tables, whose cost is otherwise per-call overhead.
+_COMPARE_CELLS = 1 << 20
 # Pairwise differences held at once by difference mode (float64, so 16 MB).
 _BLOCK_CELLS = 1 << 21
 
 
-def _count_table(d: np.ndarray) -> np.ndarray:
-    """Count-mode table: c[i, j] = #{e : pos_i(e) >= q_j(e)} (see ``_ranks``).
+def _count_table(levels: Levels) -> np.ndarray:
+    """Count-mode table from level codes: c[i, j] = #{e : pos_i(e) >= q_j(e)}.
 
-    Columns are added one at a time into an n x n uint8 buffer, flushed into
-    the int64 table before it can overflow, so memory is O(n^2 + n*m).
+    With the levels v (increasing) and a cell's code k, so that its degree is
+    v[k] (-0.0 and 0.0 are one level), let pos = k = #{levels < d} and
+    q = #{levels < x} with x = fl(d - eps), the same for every degree of
+    one level. If d_i >= x_j, every level below x_j is below d_i, so
+    pos_i >= q_j; if d_i < x_j, d_i's own level counts in q_j but not in
+    pos_i, so pos_i < q_j. The test is therefore exactly the dense comparison
+    ``d_i >= d_j - eps``, with the same float rounding.
+
+    Blocks of columns are tested at once and added into an n x n uint8
+    buffer, flushed into the int64 table before it can overflow, so memory
+    is O(n^2 + n*m).
     """
-    n, m = d.shape
-    pos, q = _ranks(d)
+    values, codes = levels
+    n, m = codes.shape
+    pos = np.ascontiguousarray(codes.T)
+    q = values.searchsorted(values - COMPARISON_EPSILON).astype(codes.dtype)[pos]
+    step = min(_FLUSH_COLUMNS, m, max(1, _COMPARE_CELLS // (n * n)))
     counts = np.zeros((n, n), dtype=np.int64)
     acc = np.empty((n, n), dtype=np.uint8)
-    hit = np.empty((n, n), dtype=bool)
+    hit = np.empty((step, n, n), dtype=bool)
     hit_u8 = hit.view(np.uint8)  # same-type add, no bool-to-uint8 cast
     for start in range(0, m, _FLUSH_COLUMNS):
+        stop = min(start + _FLUSH_COLUMNS, m)
         acc.fill(0)
-        for e in range(start, min(start + _FLUSH_COLUMNS, m)):
-            np.greater_equal(pos[e][:, None], q[e][None, :], out=hit)
-            np.add(acc, hit_u8, out=acc)
+        for e in range(start, stop, step):
+            k = min(step, stop - e)
+            np.greater_equal(pos[e : e + k, :, None], q[e : e + k, None, :], out=hit[:k])
+            # one column (all of them at n = 1000) is added with no reduce pass
+            np.add(acc, hit_u8[0] if k == 1 else np.add.reduce(hit_u8[:k]), out=acc)
         counts += acc
     return counts
-
-
-def _ranks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column rank codes, shape (m, n), such that d_i >= fl(d_j - eps) iff pos_i >= q_j.
-
-    For column e let pos_i = #{k : d_k < d_i} and q_j = #{k : d_k < x_j} with
-    x_j = fl(d_j - eps). If d_i >= x_j, every d_k below x_j is below d_i, so
-    pos_i >= q_j; if d_i < x_j, d_i itself counts in q_j but not in pos_i, so
-    pos_i < q_j. The test is therefore exactly the dense comparison
-    ``d_i >= d_j - eps``, with the same float rounding.
-    """
-    n, m = d.shape
-    code = np.int16 if n < 2**15 else np.int32
-    by_column = np.ascontiguousarray(d.T)
-    order = by_column.argsort(axis=1)
-    rows = np.arange(m)[:, None]
-    ordered = by_column[rows, order]
-    del by_column  # freed early to lower the peak allocation
-    shifted = ordered - COMPARISON_EPSILON
-    # Ranks are found in sorted order, where searchsorted's keys ascend, then
-    # scattered back to object order.
-    sorted_pos = np.empty((m, n), dtype=code)
-    sorted_q = np.empty((m, n), dtype=code)
-    for e in range(m):
-        sorted_pos[e] = ordered[e].searchsorted(ordered[e])
-        sorted_q[e] = ordered[e].searchsorted(shifted[e])
-    pos = np.empty_like(sorted_pos)
-    q = np.empty_like(sorted_q)
-    pos[rows, order] = sorted_pos
-    q[rows, order] = sorted_q
-    return pos, q
 
 
 def _difference_table(d: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, reduce
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import DataError
 __all__ = [
     "COMBINERS",
     "FuzzySoftSet",
+    "Levels",
     "product",
     "product_n",
     "restrict",
@@ -41,6 +43,24 @@ COMBINERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "max": np.maximum,
     "min": np.minimum,
 }
+
+
+class Levels(NamedTuple):
+    """A set's distinct degrees in increasing order, and each cell's index into them.
+
+    -0.0 and 0.0 are one level, held as 0.0, so a cell's text cannot be read
+    from its code alone. ``codes`` is int16 while there are fewer than 2**15
+    levels (so one more index still fits), int32 otherwise. A product's
+    levels are its operands' levels merged, so they may hold degrees that no
+    cell of the product takes; each cell's degree is always one of them.
+    """
+
+    values: np.ndarray
+    codes: np.ndarray
+
+
+def _code_dtype(n_levels: int) -> type:
+    return np.int16 if n_levels < 2**15 else np.int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +95,12 @@ class FuzzySoftSet:
     def shape(self) -> tuple[int, int]:
         return self.degrees.shape
 
+    @cached_property
+    def levels(self) -> Levels:
+        """The set's ``Levels``, found by one sort on first use (``product`` fills them in)."""
+        values = _distinct(self.degrees)
+        return _frozen_levels(values, values.searchsorted(self.degrees).astype(_code_dtype(len(values))))
+
     def degree(self, object_id: str, parameter: str) -> float:
         return float(self.degrees[self.universe.index(object_id), self.parameters.index(parameter)])
 
@@ -91,6 +117,22 @@ class FuzzySoftSet:
         return hash((self.universe, self.parameters, self.degrees.tobytes()))
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x`` in increasing order, with -0.0 and 0.0 as one value, 0.0."""
+    ordered = np.sort(x, axis=None)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    values += 0.0  # turns -0.0 into 0.0 and keeps every other value
+    return values
+
+
+def _frozen_levels(values: np.ndarray, codes: np.ndarray) -> Levels:
+    values.setflags(write=False)
+    codes.setflags(write=False)
+    return Levels(values, codes)
+
+
 def _check_same_universe(a: FuzzySoftSet, b: FuzzySoftSet) -> None:
     if a.universe != b.universe:
         raise ValueError(
@@ -104,6 +146,10 @@ def product(a: FuzzySoftSet, b: FuzzySoftSet, combiner: str = "max") -> FuzzySof
     The result has one column per (pa, pb) pair in row-major order (a's label
     varies slower), labeled "pa{x}pb", and cell value combiner(a[o,pa], b[o,pb])
     with combiner "min" (classical AND) or "max".
+
+    The result arrives with its levels: max and min commute with an
+    order-preserving code, so the operands' codes, mapped onto their merged
+    levels, are combined the same way instead of sorting the product.
     """
     _check_same_universe(a, b)
     try:
@@ -113,8 +159,24 @@ def product(a: FuzzySoftSet, b: FuzzySoftSet, combiner: str = "max") -> FuzzySof
     labels = tuple(
         f"{pa}{PRODUCT_SEPARATOR}{pb}" for pa in a.parameters for pb in b.parameters
     )
-    degrees = combine(a.degrees[:, :, None], b.degrees[:, None, :]).reshape(len(a.universe), -1)
-    return FuzzySoftSet(a.universe, labels, degrees)
+    out = FuzzySoftSet(a.universe, labels, _combine_columns(combine, a.degrees, b.degrees))
+    values = _distinct(np.concatenate((a.levels.values, b.levels.values)))
+    code = _code_dtype(len(values))
+    ca, cb = (values.searchsorted(s.levels.values).astype(code)[s.levels.codes] for s in (a, b))
+    vars(out)["levels"] = _frozen_levels(values, _combine_columns(combine, ca, cb))  # seeds the cached property
+    return out
+
+
+def _combine_columns(combine: Callable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``combine(x[:, i], y[:, j])`` in column ``i * y.shape[1] + j``.
+
+    One call per column of ``y`` over all of ``x``: broadcasting both at once
+    runs the ufunc's inner loop over only ``y.shape[1]`` cells at a time.
+    """
+    out = np.empty((x.shape[0], x.shape[1], y.shape[1]), dtype=x.dtype)
+    for j in range(y.shape[1]):
+        combine(x, y[:, j : j + 1], out=out[:, :, j])
+    return out.reshape(x.shape[0], -1)
 
 
 def product_n(sets: Sequence[FuzzySoftSet], combiner: str = "max") -> FuzzySoftSet:
@@ -140,9 +202,9 @@ def restrict(s: FuzzySoftSet, keep: Iterable[str]) -> FuzzySoftSet:
     )
 
 
-# Cells formatted at once by _row_blocks. It bounds the temporaries, above all
-# the block's formatted strings, which would otherwise raise peak RSS.
-_FORMAT_BLOCK_CELLS = 1 << 14
+# Cells rendered at once. It bounds the block's temporaries (its gathered
+# bytes and its text), which would otherwise raise peak RSS.
+_FORMAT_BLOCK_CELLS = 1 << 12
 
 # Characters that make csv_field quote a cell.
 _QUOTED_CHARS = frozenset(',"\r\n')
@@ -161,58 +223,108 @@ def csv_field(text: str) -> str:
     return text
 
 
-def _row_blocks(grid: np.ndarray, fmt: Callable) -> Iterator[list[list[str]]]:
-    """Each row of a 2-D numeric array as a list of ``fmt(value)`` strings, one
-    list of rows per block of at most ``_FORMAT_BLOCK_CELLS`` cells.
+def _padded(encoded: list[bytes]) -> np.ndarray:
+    """UTF-8 texts as one fixed-width bytes array, padded with 0xFF, a byte UTF-8 never holds."""
+    width = max([1, *map(len, encoded)])
+    return np.array([e.ljust(width, b"\xff") for e in encoded], dtype=f"S{width}")
 
-    Equal to ``[fmt(v) for v in row.tolist()]`` per row, but each distinct
-    value is formatted once. An integer grid whose values span fewer integers
-    than it has cells formats every integer in that span once and looks the
-    cells up by offset. Any other grid formats the distinct values of each
-    block; values are told apart by bit pattern, so -0.0 and 0.0 keep their
-    own text.
+
+def _cell_texts(texts: Iterable[str]) -> np.ndarray:
+    """Each text after a comma, padded (see ``_padded``)."""
+    return _padded([b"," + t.encode() for t in texts])
+
+
+def _block_text(heads: list[str], cells: np.ndarray, index: np.ndarray) -> str:
+    """The text of a block of rows: each row's head, its cells' texts
+    ``cells[index[row]]`` (see ``_cell_texts``), and a line feed.
+
+    Every byte of the block is gathered into one fixed-width array and the
+    padding is dropped, so no Python string exists per cell or per row.
+    """
+    lead = _padded([h.encode() for h in heads])
+    width = lead.itemsize
+    raw = np.empty((len(index), width + index.shape[1] * cells.itemsize + 1), dtype=np.uint8)
+    raw[:, :width] = lead.view(np.uint8).reshape(len(index), width)
+    # np.take(..., out=) into this strided view kept wide-1k's benchmark peak
+    # RSS about 5 MB higher
+    raw[:, width:-1].view(cells.dtype)[...] = np.take(cells, index)
+    raw[:, -1] = ord("\n")
+    # every text is whole UTF-8, so the decoder's only errors are the padding
+    return str(raw, "utf-8", "ignore")
+
+
+def _text_blocks(
+    ids: Iterable[str], grid: np.ndarray, fmt: Callable, levels: Levels | None = None
+) -> Iterator[str]:
+    """CSV rows of a 2-D numeric array, each led by its ID, one chunk per
+    block of at most ``_FORMAT_BLOCK_CELLS`` cells.
+
+    A row is ``csv_field(id)``, then ``fmt(value)`` of each cell, joined by
+    commas; formatted numbers need no quoting. With no value columns an empty
+    ID is written ``""``, as the csv module writes a row of one empty cell, so
+    it does not read as a blank line.
+
+    Each distinct value is formatted once. With the grid's ``levels`` each
+    level is formatted once and cells are looked up by code; a -0.0 cell
+    (``np.signbit``, as degrees are never negative) looks up one more text,
+    so signed zeros keep their own text. An integer grid whose values span
+    fewer integers than it has cells formats every integer in that span once
+    and looks the cells up by offset. Any other grid formats the distinct
+    values of each block, told apart by bit pattern.
     """
     grid = np.ascontiguousarray(grid)
     n_rows, n_cols = grid.shape
     step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
     bits = f"u{grid.itemsize}"
-    lookup = None
-    if grid.size and grid.dtype.kind in "iu":
+    empty_id = "" if n_cols else '""'
+    ids = iter(ids)
+    cells = None
+    if levels is not None:
+        texts = [fmt(v) for v in [*levels.values.tolist(), -0.0]]
+        cells = _cell_texts(texts[:-1])
+    elif grid.size and grid.dtype.kind in "iu":
         lo, hi = grid.min(), grid.max()
         if int(hi) - int(lo) < grid.size:
-            lookup = np.array([fmt(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
+            cells = _cell_texts(map(fmt, range(int(lo), int(hi) + 1)))
     for start in range(0, n_rows, step):
-        block = grid[start : start + step]
-        if lookup is not None:
+        # draws only this block's IDs; rows past the last ID are dropped
+        heads = [csv_field(oid) or empty_id for oid in islice(ids, min(step, n_rows - start))]
+        block = grid[start : start + len(heads)]
+        if levels is not None:
+            index = levels.codes[start : start + len(heads)]
+            signed = np.signbit(block)
+            if signed.any():
+                # the -0.0 text joins the table only once a cell needs it: a
+                # wider text pads every cell, and padding is slow to drop
+                if len(cells) < len(texts):
+                    cells = _cell_texts(texts)
+                index = np.where(signed, len(texts) - 1, index)
+            yield _block_text(heads, cells, index)
+        elif cells is not None:
             # block - lo wraps in the grid's dtype; read unsigned it is the
             # exact offset, since it lies in [0, hi - lo].
-            texts, index = lookup, (block - lo).view(bits)
+            yield _block_text(heads, cells, (block - lo).view(bits))
         else:
             values, index = np.unique(block.view(bits).ravel(), return_inverse=True)
-            texts = np.array([fmt(v) for v in values.view(grid.dtype).tolist()], dtype=object)
-        yield texts[index].reshape(block.shape).tolist()
+            block_cells = _cell_texts(map(fmt, values.view(grid.dtype).tolist()))
+            yield _block_text(heads, block_cells, index.reshape(block.shape))
 
 
 def grid_chunks(header: Sequence[str], ids: Iterable[str], grid: np.ndarray, fmt: Callable) -> Iterator[str]:
     """CSV text of a grid with one ID per row: the header line, then one chunk per row block.
 
-    Header cells and IDs go through ``csv_field``; formatted numbers never
-    need quoting. With no value columns an empty ID is written ``""``, as the
-    csv module writes a row of one empty cell, so it does not read as a blank
-    line. Only one block's text exists at a time.
+    Header cells and IDs go through ``csv_field`` (see ``_text_blocks``).
+    Only one block's text exists at a time.
     """
     yield ",".join(map(csv_field, header)) + "\n"
-    sep, empty_id = (",", "") if grid.shape[1] else ("", '""')
-    ids = iter(ids)
-    for rows in _row_blocks(grid, fmt):
-        # rows first, so zip stops without drawing the next block's first ID
-        yield "".join(f"{csv_field(oid) or empty_id}{sep}{','.join(cells)}\n" for cells, oid in zip(rows, ids))
+    yield from _text_blocks(ids, grid, fmt)
 
 
 def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[str]:
     """The text of ``to_table(s, decimals)`` as the header line and then one chunk per row block."""
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
-    return grid_chunks(("object", *s.parameters), s.universe, s.degrees, fmt)
+    yield ",".join(map(csv_field, ("object", *s.parameters))) + "\n"
+    yield from _text_blocks(s.universe, s.degrees, fmt, s.levels)
 
 
 def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:

@@ -43,16 +43,16 @@ def test_run_memory_is_bounded(tmp_path, csv_116):
 
 def _fail_in_block_rendering(monkeypatch, failing_call, exc):
     """Make the ``failing_call``-th row-block rendering raise ``exc`` after its first block."""
-    real = softset._row_blocks
+    real = softset._text_blocks
     calls = itertools.count()
 
-    def row_blocks(grid, fmt):
-        blocks = real(grid, fmt)
+    def text_blocks(*args):
+        blocks = real(*args)
         if next(calls) != failing_call:
             return blocks
         return itertools.chain(itertools.islice(blocks, 1), _raise(exc))
 
-    monkeypatch.setattr(softset, "_row_blocks", row_blocks)
+    monkeypatch.setattr(softset, "_text_blocks", text_blocks)
     monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", 64)  # several blocks per table
 
 

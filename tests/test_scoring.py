@@ -17,6 +17,7 @@ from fuzzysoft import (
     evaluate,
     format_report_text,
     fuzzify_cohort,
+    product,
     product_n,
     report_to_csv,
     run_pipeline,
@@ -110,6 +111,68 @@ def test_count_table_flushes_its_accumulator_without_overflow():
     counts = comparison_table(_soft_set(degrees), "count").counts
     assert counts[0, 1] == counts[1, 0] == 600
     assert np.array_equal(counts, _dense_count(degrees))
+
+
+def _level_edge_degrees(rng, n, m):
+    """Degrees with ties at eps and eps plus or minus one ulp, -0.0 beside 0.0, 5e-324 and 1.0."""
+    pool = np.concatenate([
+        _near_epsilon_column(rng, 30), [-0.0, 0.0, 5e-324, 1.0, COMPARISON_EPSILON, 1.0 - COMPARISON_EPSILON],
+        np.nextafter([COMPARISON_EPSILON, 1.0 - COMPARISON_EPSILON], 2.0),
+        np.nextafter([COMPARISON_EPSILON, 1.0 - COMPARISON_EPSILON], -1.0),
+    ])
+    return rng.choice(pool, size=(n, m))
+
+
+def _check_levels(s):
+    values, codes = s.levels
+    assert np.all(np.diff(values) > 0) and not np.signbit(values).any()
+    assert np.array_equal(values[codes], s.degrees)  # -0.0 == 0.0: one level
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_table_from_sorted_levels_equals_dense_tensor_at_level_edges(seed):
+    rng = np.random.default_rng(200 + seed)
+    s = _soft_set(_level_edge_degrees(rng, 40, 9))
+    assert np.signbit(s.degrees).any() and (s.degrees == 5e-324).any()
+    _check_levels(s)
+    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+
+
+@pytest.mark.parametrize("combiner", ["max", "min"])
+@pytest.mark.parametrize("seed", range(3))
+def test_count_table_from_product_levels_equals_dense_tensor_at_level_edges(combiner, seed):
+    rng = np.random.default_rng(300 + seed)
+    n = 40
+    sets = [
+        FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"v{k}e{j}" for j in range(m)), _level_edge_degrees(rng, n, m))
+        for k, m in enumerate((3, 2, 4))
+    ]
+    prod = product_n(sets, combiner)
+    assert "levels" in vars(prod)  # filled by product, not sorted on first use
+    _check_levels(prod)
+    assert np.array_equal(comparison_table(prod, "count").counts, _dense_count(prod.degrees))
+    # the same degrees with levels from a sort give the same table
+    assert np.array_equal(comparison_table(_soft_set(prod.degrees), "count").counts, _dense_count(prod.degrees))
+
+
+def test_product_levels_hold_int16_codes_and_widen_past_them():
+    few = _soft_set(np.round(np.random.default_rng(8).random((50, 4)), 2))
+    assert few.levels.codes.dtype == np.int16
+    many = _soft_set(np.arange(2**15).reshape(-1, 2) / 2**15)
+    assert many.levels.codes.dtype == np.int32
+    wide = product(FuzzySoftSet(many.universe, ("a",), many.degrees[:, :1]),
+                   FuzzySoftSet(many.universe, ("b",), many.degrees[:, 1:]), "max")
+    assert len(wide.levels.values) == 2**15 and wide.levels.codes.dtype == np.int32
+    _check_levels(wide)
+
+
+def test_count_table_compares_blocks_of_columns_on_small_tables(monkeypatch):
+    # the block of columns compared at once, from one column to past the flush
+    degrees = np.round(np.random.default_rng(12).random((9, 600)), 1)
+    want = _dense_count(degrees)
+    for cells in (1, 81 * 7, 81 * 300):
+        monkeypatch.setattr(scoring, "_COMPARE_CELLS", cells)
+        assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, want)
 
 
 @pytest.mark.parametrize("block_cells", [1, 5000, 1 << 21])

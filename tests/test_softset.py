@@ -294,6 +294,41 @@ def test_to_table_keeps_signed_zero_apart():
     assert to_table(s, 2).splitlines()[1:] == ["a,-0.00,0.00", "b,0.00,-0.00"]
 
 
+@pytest.mark.parametrize("block_cells", [1, 1 << 12])  # one row per block: -0.0 first in a later block
+@pytest.mark.parametrize("combiner", ["max", "min"])
+@pytest.mark.parametrize("decimals", [None, 6])
+def test_product_tying_signed_zeros_renders_its_float_degrees(monkeypatch, block_cells, combiner, decimals):
+    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    # np.maximum and np.minimum return the second operand on a -0.0/0.0 tie,
+    # and the product's codes hold both zeros as one level
+    a = FuzzySoftSet(("w", "x", "y", "z"), ("p", "q"), np.array([[0.5, 1.0], [-0.0, 0.0], [0.0, -0.0], [0.5, -0.0]]))
+    b = FuzzySoftSet(("w", "x", "y", "z"), ("r", "s"), np.array([[0.5, 0.75], [0.0, -0.0], [-0.0, 0.0], [-0.0, 1.0]]))
+    prod = product(a, b, combiner)
+    zeros = prod.degrees == 0.0
+    assert np.signbit(prod.degrees[zeros]).any() and not np.signbit(prod.degrees[zeros]).all()
+    assert len(set(prod.levels.codes[zeros].tolist())) == 1
+    assert to_table(prod, decimals) == _per_cell_table(prod, decimals)
+
+
+def test_levels_are_the_sorted_distinct_degrees():
+    s = FuzzySoftSet(("a", "b"), ("p", "q", "r"), np.array([[0.5, -0.0, 1.0], [0.0, 0.5, 5e-324]]))
+    values, codes = s.levels
+    assert values.tolist() == [0.0, 5e-324, 0.5, 1.0] and not np.signbit(values).any()
+    assert codes.tolist() == [[2, 0, 3], [0, 2, 1]] and codes.dtype == np.int16
+    assert s.levels is s.levels
+    with pytest.raises(ValueError):
+        codes[0, 0] = 1
+
+
+def test_rows_keep_ids_with_nul_and_non_ascii_text():
+    ids = ("a\x00b", "\x00", "é,ü", "plain\x00")
+    s = FuzzySoftSet(ids, ("p", "q"), np.array([[0.5, 1.0], [0.0, -0.0], [0.25, 0.5], [1.0, 0.0]]))
+    rows = to_table(s).splitlines()[1:]
+    assert rows == ["a\x00b,0.5,1.0", "\x00,0.0,-0.0", '"é,ü",0.25,0.5', "plain\x00,1.0,0.0"]
+    counts = "".join(grid_chunks(("object", "c"), ids, np.array([[3], [0], [12], [7]]), str))
+    assert counts.splitlines()[1:] == ["a\x00b,3", "\x00,0", '"é,ü",12', "plain\x00,7"]
+
+
 def test_round_trip_with_quoted_ids_and_edge_values():
     # with no parameters, the empty ID is a row of one empty cell
     for m in (9, 0):
