@@ -103,8 +103,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {result.files[name]}")
         print(f"product source: {result.product_source_used} "
               f"({result.report.parameter_count} parameters)")
-        if result.accuracy is not None:
-            print(f"accuracy: {result.accuracy:.2f}")
+        print(f"accuracy: {result.accuracy:.2f}")
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,12 +5,12 @@ the reduction summary, the product table that was scored, the comparison
 table, the score report, and a JSON manifest recording the configuration.
 Outputs are deterministic: identical configurations produce byte-identical
 files, and each text output ends with a comment line naming the config hash
-and tool version. Each output is a sequence of text chunks streamed to
-``<name>.tmp``. The large tables are rendered one block of rows at a time
-while they are written, so at n = 1000 with 432 product columns a run's traced
-peak allocation is about 16 MB (Python 3.11, numpy 2.4); rendering every
-output first peaked at about 46 MB. Only when every temp file is complete are they all renamed. If
-anything raises, the temps and any renamed outputs are deleted, so a failing
+and tool version. Every numeric CSV grid (the fuzzy and product tables,
+``comparison.csv`` and the curves) is ``softset.grid_chunks`` text, rendered
+one block of rows at a time while it is written to ``<name>.tmp``: at n = 1000
+with 432 product columns a run's traced peak allocation is about 16 MB
+(Python 3.11, numpy 2.4). The temps are renamed only once all are complete.
+If anything raises, they and any renamed outputs are deleted, so a failing
 run leaves no partial outputs.
 
 The scored product table has two possible sources. "computed" rebuilds it
@@ -30,7 +30,9 @@ import os
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from . import __version__, fixtures
 from .errors import ConfigError, DataError, InternalError
@@ -43,6 +45,7 @@ from .scoring import (
     comparison_table,
     evaluate,
     format_report_text,
+    number_format,
     report_to_csv,
     scores,
 )
@@ -128,7 +131,7 @@ class PipelineConfig:
 @dataclass
 class RunResult:
     report: ScoreReport
-    accuracy: float | None
+    accuracy: float
     product_source_used: str
     files: dict[str, Path]
 
@@ -231,23 +234,20 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     if source_used == "published":
         prod = fixtures.published_product_table()
     else:
-        prod = product_n(reduced_sets, cfg.combiner)
+        try:
+            prod = product_n(reduced_sets, cfg.combiner)
+        except ValueError as exc:  # two label pairs joined into one product label
+            raise ConfigError(f"product of the variables: {exc}; change the partition codes") from exc
 
     # Score and classify.
     table = comparison_table(prod, cfg.mode)
     report = scores(table)
     predictions = classify(report, cfg.threshold)
-    report = replace(report, predictions=predictions)
+    # the product's universe is the cohort's IDs, so every object has a label
     labels = dict(zip(cohort.ids, cohort.labels))
-    accuracy = None
-    if set(labels) == set(report.universe):
-        accuracy = evaluate(predictions, labels)
-        report = replace(report, accuracy=accuracy)
+    accuracy = evaluate(predictions, labels)
+    report = replace(report, predictions=predictions, accuracy=accuracy)
 
-    # Each output is a sequence of text chunks. The large tables are rendered
-    # lazily while they are written, so only one row block of one table
-    # exists as text at a time.
-    fmt = str if table.mode == "count" else "{:.6f}".format
     header = (
         f"risk ranking over {report.parameter_count} product parameter(s) "
         f"[source: {source_used}, combiner: {cfg.combiner}, mode: {cfg.mode}, "
@@ -265,7 +265,9 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         ],
         "reduction.txt": ["\n".join(reduction_lines) + "\n"],
         "product.csv": table_chunks(prod, decimals=6),
-        "comparison.csv": grid_chunks(("object", *table.universe), table.universe, table.counts, fmt),
+        "comparison.csv": grid_chunks(
+            ("object", *table.universe), table.universe, table.counts, number_format(table.mode), table.levels
+        ),
         "scores.csv": [report_to_csv(report, labels)],
         "report.txt": [header, format_report_text(report, cfg.round_digits)],
     }
@@ -298,24 +300,22 @@ def emit_curves(
     """Write one CSV per variable sampling every partition's membership curve.
 
     Columns are x plus one degree column per partition code, sampled evenly
-    over the variable's display range. These files replace the study's curve
-    figures with plot-ready data.
+    over the variable's display range, written by ``grid_chunks`` with x as
+    the row ID. These files replace the study's curve figures with plot-ready data.
     """
     if samples_per_curve < 2:
         raise ConfigError(f"samples per curve must be at least 2, got {samples_per_curve}")
     if specs is None:
         specs = default_variable_specs()
     out = _prepare_out_dir(out_dir)
-
-    def curve_chunks(spec: VariableSpec) -> Iterator[str]:
-        lo, hi = spec.display_range
-        samples = [p.mf.sample(lo, hi, samples_per_curve) for p in spec.partitions]
-        yield "x," + ",".join(p.code for p in spec.partitions) + "\n"
-        for i in range(samples_per_curve):
-            x = samples[0][i][0]
-            yield f"{x:.6f}," + ",".join(f"{s[i][1]:.6f}" for s in samples) + "\n"
-
+    fmt = "{:.6f}".format
+    outputs = []
+    for spec in specs:
+        xs = np.linspace(*spec.display_range, samples_per_curve)
+        degrees = np.column_stack([p.mf.evaluate_many(xs) for p in spec.partitions])
+        header = ("x", *(p.code for p in spec.partitions))
+        outputs.append((f"curves_{spec.name}.csv", grid_chunks(header, map(fmt, xs.tolist()), degrees, fmt)))
     try:
-        return _atomic_write(out, [(f"curves_{spec.name}.csv", curve_chunks(spec)) for spec in specs])
+        return _atomic_write(out, outputs)
     except OSError as exc:
         raise ConfigError(f"cannot write curves to {out}: {exc}") from exc

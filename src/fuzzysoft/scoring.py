@@ -9,7 +9,7 @@ row sum minus its column sum; higher scores rank as higher risk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,6 +45,11 @@ HEALTHY = "healthy"
 _PREDICTION_FOR_LABEL = {PATIENT: HIGH_RISK, HEALTHY_CONTROL: HEALTHY}
 
 
+def number_format(mode: str, decimals: int = 6) -> Callable[[object], str]:
+    """Counts as integers, differences to ``decimals`` places, in tables and reports."""
+    return (lambda v: str(int(v))) if mode == "count" else f"{{:.{decimals}f}}".format
+
+
 @dataclass(frozen=True, eq=False)
 class ComparisonTable:
     """Square pairwise-comparison matrix over an ordered universe."""
@@ -61,8 +66,17 @@ class ComparisonTable:
             raise ValueError(f"comparison table must be {n}x{n}, got {counts.shape}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "count" and counts.size and (
+            counts.dtype.kind not in "iu" or counts.min() < 0 or counts.max() > self.parameter_count
+        ):
+            raise ValueError(f"count cells must be integers in [0, {self.parameter_count}]")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+
+    @property
+    def levels(self) -> Levels | None:
+        """A count table's ``Levels``: 0..m, each count its own code. Difference tables have none."""
+        return Levels(np.arange(self.parameter_count + 1), self.counts) if self.mode == "count" else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +93,7 @@ class ScoreReport:
     accuracy: float | None = None
 
     def score(self, object_id: str) -> float:
-        value = self.scores[self.universe.index(object_id)]
-        return int(value) if self.mode == "count" else float(value)
+        return self.triple(object_id)[2]
 
     def triple(self, object_id: str) -> tuple:
         i = self.universe.index(object_id)
@@ -202,7 +215,7 @@ def evaluate(predictions: Mapping[str, str], labels: Mapping[str, str]) -> float
 
 def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) -> str:
     """CSV rendering: ``object,row_sum,column_sum,score,prediction,label``."""
-    fmt = (lambda v: str(int(v))) if report.mode == "count" else (lambda v: f"{float(v):.6f}")
+    fmt = number_format(report.mode)
     lines = ["object,row_sum,column_sum,score,prediction,label"]
     for i, oid in enumerate(report.universe):
         pred = report.predictions.get(oid, "") if report.predictions else ""
@@ -216,10 +229,7 @@ def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) 
 
 def format_report_text(report: ScoreReport, decimals: int = 2) -> str:
     """Aligned text table of row sums, column sums, scores and predictions."""
-    if report.mode == "count":
-        fmt = lambda v: str(int(v))
-    else:
-        fmt = lambda v: f"{float(v):.{decimals}f}"
+    fmt = number_format(report.mode, decimals)
     rows = [("Sample No", "Row Sum", "Column Sum", "Score", "Prediction")]
     for i, oid in enumerate(report.universe):
         pred = report.predictions.get(oid, "") if report.predictions else ""

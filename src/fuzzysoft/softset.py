@@ -46,13 +46,13 @@ COMBINERS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 
 
 class Levels(NamedTuple):
-    """A set's distinct degrees in increasing order, and each cell's index into them.
+    """A grid's distinct values in increasing order, and each cell's index into them.
 
     -0.0 and 0.0 are one level, held as 0.0, so a cell's text cannot be read
-    from its code alone. ``codes`` is int16 while there are fewer than 2**15
-    levels (so one more index still fits), int32 otherwise. A product's
-    levels are its operands' levels merged, so they may hold degrees that no
-    cell of the product takes; each cell's degree is always one of them.
+    from its code alone. ``_levels`` gives int16 codes below 2**15 levels (so
+    one more index still fits), int32 otherwise. A product's levels are its
+    operands' merged, so they may hold degrees no cell takes. A count table's
+    levels are 0..m, each count its own code.
     """
 
     values: np.ndarray
@@ -98,8 +98,7 @@ class FuzzySoftSet:
     @cached_property
     def levels(self) -> Levels:
         """The set's ``Levels``, found by one sort on first use (``product`` fills them in)."""
-        values = _distinct(self.degrees)
-        return _frozen_levels(values, values.searchsorted(self.degrees).astype(_code_dtype(len(values))))
+        return _levels(self.degrees)
 
     def degree(self, object_id: str, parameter: str) -> float:
         return float(self.degrees[self.universe.index(object_id), self.parameters.index(parameter)])
@@ -114,7 +113,8 @@ class FuzzySoftSet:
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.parameters, self.degrees.tobytes()))
+        # + 0.0 folds -0.0 into 0.0, which __eq__ holds equal
+        return hash((self.universe, self.parameters, (self.degrees + 0.0).tobytes()))
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -122,22 +122,19 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     ordered = np.sort(x, axis=None)
     first = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    values = ordered[first]
-    values += 0.0  # turns -0.0 into 0.0 and keeps every other value
-    return values
+    return ordered[first] + 0  # turns -0.0 into 0.0 and keeps every other value
+
+
+def _levels(x: np.ndarray) -> Levels:
+    """The ``Levels`` of ``x``: one sort, then each cell's index into the distinct values."""
+    values = _distinct(x)
+    return _frozen_levels(values, values.searchsorted(x).astype(_code_dtype(len(values))))
 
 
 def _frozen_levels(values: np.ndarray, codes: np.ndarray) -> Levels:
     values.setflags(write=False)
     codes.setflags(write=False)
     return Levels(values, codes)
-
-
-def _check_same_universe(a: FuzzySoftSet, b: FuzzySoftSet) -> None:
-    if a.universe != b.universe:
-        raise ValueError(
-            f"universe mismatch: {a.universe} vs {b.universe} (same IDs in the same order required)"
-        )
 
 
 def product(a: FuzzySoftSet, b: FuzzySoftSet, combiner: str = "max") -> FuzzySoftSet:
@@ -151,7 +148,10 @@ def product(a: FuzzySoftSet, b: FuzzySoftSet, combiner: str = "max") -> FuzzySof
     order-preserving code, so the operands' codes, mapped onto their merged
     levels, are combined the same way instead of sorting the product.
     """
-    _check_same_universe(a, b)
+    if a.universe != b.universe:
+        raise ValueError(
+            f"universe mismatch: {a.universe} vs {b.universe} (same IDs in the same order required)"
+        )
     try:
         combine = COMBINERS[combiner]
     except KeyError:
@@ -264,67 +264,57 @@ def _text_blocks(
     ID is written ``""``, as the csv module writes a row of one empty cell, so
     it does not read as a blank line.
 
-    Each distinct value is formatted once. With the grid's ``levels`` each
-    level is formatted once and cells are looked up by code; a -0.0 cell
-    (``np.signbit``, as degrees are never negative) looks up one more text,
-    so signed zeros keep their own text. An integer grid whose values span
-    fewer integers than it has cells formats every integer in that span once
-    and looks the cells up by offset. Any other grid formats the distinct
-    values of each block, told apart by bit pattern.
+    Cells become text one way: each level is formatted once and the cells
+    are looked up by code. The levels are the grid's ``levels`` where given
+    (a soft set's, or a count table's counts), else each block's own
+    (``_levels``). A float grid's -0.0 cells (``np.signbit`` on a zero) look
+    up one more text, so signed zeros keep their own text.
     """
     grid = np.ascontiguousarray(grid)
     n_rows, n_cols = grid.shape
     step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
-    bits = f"u{grid.itemsize}"
     empty_id = "" if n_cols else '""'
     ids = iter(ids)
-    cells = None
-    if levels is not None:
-        texts = [fmt(v) for v in [*levels.values.tolist(), -0.0]]
-        cells = _cell_texts(texts[:-1])
-    elif grid.size and grid.dtype.kind in "iu":
-        lo, hi = grid.min(), grid.max()
-        if int(hi) - int(lo) < grid.size:
-            cells = _cell_texts(map(fmt, range(int(lo), int(hi) + 1)))
     for start in range(0, n_rows, step):
         # draws only this block's IDs; rows past the last ID are dropped
         heads = [csv_field(oid) or empty_id for oid in islice(ids, min(step, n_rows - start))]
         block = grid[start : start + len(heads)]
-        if levels is not None:
-            index = levels.codes[start : start + len(heads)]
-            signed = np.signbit(block)
+        if levels is None:
+            values, index = _levels(block)
+        else:
+            values, index = levels.values, levels.codes[start : start + len(heads)]
+        if levels is None or start == 0:  # the grid's levels are formatted once
+            texts = list(map(fmt, values.tolist()))
+            cells = _cell_texts(texts)
+        # only float grids hold -0.0; a negative difference has the sign bit too
+        if grid.dtype.kind == "f" and (signed := np.signbit(block)).any():
+            signed &= block == 0
             if signed.any():
                 # the -0.0 text joins the table only once a cell needs it: a
                 # wider text pads every cell, and padding is slow to drop
-                if len(cells) < len(texts):
-                    cells = _cell_texts(texts)
-                index = np.where(signed, len(texts) - 1, index)
-            yield _block_text(heads, cells, index)
-        elif cells is not None:
-            # block - lo wraps in the grid's dtype; read unsigned it is the
-            # exact offset, since it lies in [0, hi - lo].
-            yield _block_text(heads, cells, (block - lo).view(bits))
-        else:
-            values, index = np.unique(block.view(bits).ravel(), return_inverse=True)
-            block_cells = _cell_texts(map(fmt, values.view(grid.dtype).tolist()))
-            yield _block_text(heads, block_cells, index.reshape(block.shape))
+                if len(cells) == len(texts):
+                    cells = _cell_texts([*texts, fmt(-0.0)])
+                index = np.where(signed, len(texts), index)
+        yield _block_text(heads, cells, index)
 
 
-def grid_chunks(header: Sequence[str], ids: Iterable[str], grid: np.ndarray, fmt: Callable) -> Iterator[str]:
+def grid_chunks(
+    header: Sequence[str], ids: Iterable[str], grid: np.ndarray, fmt: Callable, levels: Levels | None = None
+) -> Iterator[str]:
     """CSV text of a grid with one ID per row: the header line, then one chunk per row block.
 
-    Header cells and IDs go through ``csv_field`` (see ``_text_blocks``).
-    Only one block's text exists at a time.
+    Header cells and IDs go through ``csv_field``, cells through their levels'
+    texts (see ``_text_blocks``). Only one block's text exists at a time.
     """
     yield ",".join(map(csv_field, header)) + "\n"
-    yield from _text_blocks(ids, grid, fmt)
+    yield from _text_blocks(ids, grid, fmt, levels)
 
 
 def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[str]:
     """The text of ``to_table(s, decimals)`` as the header line and then one chunk per row block."""
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
-    yield ",".join(map(csv_field, ("object", *s.parameters))) + "\n"
-    yield from _text_blocks(s.universe, s.degrees, fmt, s.levels)
+    # a generator, so s.levels is read only once its file is written
+    yield from grid_chunks(("object", *s.parameters), s.universe, s.degrees, fmt, s.levels)
 
 
 def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:

@@ -10,6 +10,7 @@ from fuzzysoft.scoring import MODES
 from fuzzysoft.softset import COMBINERS
 
 MU = "μ_"
+X = "×"
 
 
 def run_cli(*argv):
@@ -325,6 +326,37 @@ def test_curves_defaults(tmp_path):
     at82 = [r for r in rows[1:] if float(r[0]) == 82.0]
     assert len(at82) == 1
     assert float(at82[0][rows[0].index("O")]) == 1.0
+
+
+def _two_variable_spec(path, age_codes, bmi_codes):
+    """A spec of AGE and BMI, each partition flat at degree 1 over every measurement."""
+    flat = {"nodes": [[0.0, 1.0], [1000.0, 1.0]], "left_tail": 1.0, "right_tail": 1.0}
+    path.write_text(json.dumps([
+        {"name": name, "column": column, "partitions": [{"label": code, **flat} for code in codes]}
+        for name, column, codes in (("AGE", "Age", age_codes), ("BMI", "BMI", bmi_codes))
+    ]), encoding="utf-8")
+    return path
+
+
+def test_colliding_product_labels_exit_1(tmp_path, capsys):
+    # (AGE)_x × (BMI)_y×(BMI)_z and (AGE)_x×(BMI)_y × (BMI)_z are one label
+    spec = _two_variable_spec(tmp_path / "collide.json", ["x", f"x{X}(BMI)_y"], [f"y{X}(BMI)_z", "z"])
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec), "--reduction", "off") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "parameter labels must be unique" in err
+    assert _empty_or_absent(out)
+
+
+def test_curves_quote_codes_into_a_rectangular_csv(tmp_path):
+    spec = _two_variable_spec(tmp_path / "quoted.json", ["lo,w", 'h"i', "#c"], ["m"])
+    out = tmp_path / "curves"
+    assert run_cli("curves", "--out", str(out), "--spec", str(spec), "--samples", "5") == 0
+    with open(out / "curves_AGE.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "lo,w", 'h"i', "#c"]
+    assert [len(row) for row in rows] == [4] * 6
+    assert [float(cell) for cell in rows[1][1:]] == [1.0, 1.0, 1.0]
 
 
 def test_curves_single_sample_exits_1(tmp_path):

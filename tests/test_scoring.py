@@ -206,6 +206,18 @@ def test_comparison_rejects_empty():
         comparison_table(FuzzySoftSet(("a",), ("p",), np.array([[0.5]])), "median")
 
 
+def test_count_table_rejects_cells_outside_zero_to_m():
+    ids = ("a", "b")
+    table = scoring.ComparisonTable(ids, np.array([[2, 0], [1, 2]]), "count", parameter_count=2)
+    assert table.levels.values.tolist() == [0, 1, 2] and table.levels.codes is table.counts
+    # a negative code would wrap in np.take; a float one cannot index
+    for bad in ([[2, -1], [1, 2]], [[2, 3], [1, 2]], [[2.0, 0.0], [1.0, 2.0]]):
+        with pytest.raises(ValueError, match=r"integers in \[0, 2\]"):
+            scoring.ComparisonTable(ids, np.array(bad), "count", parameter_count=2)
+        # difference cells are any sums, rendered from each block's own levels
+        assert scoring.ComparisonTable(ids, np.array(bad), "difference", parameter_count=2).levels is None
+
+
 def test_published_comparison_scores_exactly():
     report = scores(published_comparison_table())
     assert report.triple(f"{MU}60") == (176, 617, -441)

@@ -14,6 +14,7 @@ from fuzzysoft import (
     restrict,
     to_table,
 )
+from fuzzysoft.scoring import ComparisonTable
 from fuzzysoft.softset import csv_field, grid_chunks
 
 MU = "μ_"
@@ -320,6 +321,13 @@ def test_levels_are_the_sorted_distinct_degrees():
         codes[0, 0] = 1
 
 
+def test_sets_equal_up_to_signed_zeros_hash_alike():
+    a = FuzzySoftSet(("x", "y"), ("p",), np.array([[0.0], [0.5]]))
+    b = FuzzySoftSet(("x", "y"), ("p",), np.array([[-0.0], [0.5]]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.degrees.tobytes() != b.degrees.tobytes()
+
+
 def test_rows_keep_ids_with_nul_and_non_ascii_text():
     ids = ("a\x00b", "\x00", "é,ü", "plain\x00")
     s = FuzzySoftSet(ids, ("p", "q"), np.array([[0.5, 1.0], [0.0, -0.0], [0.25, 0.5], [1.0, 0.0]]))
@@ -338,13 +346,13 @@ def test_round_trip_with_quoted_ids_and_edge_values():
         assert np.array_equal(back.degrees.view(np.int64), s.degrees.view(np.int64))
 
 
-def _grid_text(grid, fmt, per_cell_fmt=None):
-    """``grid_chunks`` of ``grid`` with ``fmt``, and the same CSV text with one
-    ``per_cell_fmt`` call (default ``fmt``) per cell."""
+def _grid_text(grid, fmt, per_cell_fmt=None, levels=None):
+    """``grid_chunks`` of ``grid`` with ``fmt`` (and ``levels``), and the same
+    CSV text with one ``per_cell_fmt`` call (default ``fmt``) per cell."""
     ids = [f"r{i}" for i in range(grid.shape[0])]
     header = ["object", *(f"c{j}" for j in range(grid.shape[1]))]
     rows = [header, *([oid, *map(per_cell_fmt or fmt, row.tolist())] for oid, row in zip(ids, grid))]
-    return "".join(grid_chunks(header, ids, grid, fmt)), "".join(",".join(row) + "\n" for row in rows)
+    return "".join(grid_chunks(header, ids, grid, fmt, levels)), "".join(",".join(row) + "\n" for row in rows)
 
 
 @pytest.mark.parametrize("block_cells", [1, 10, 1 << 14])
@@ -373,10 +381,10 @@ def _counting(fmt):
         np.random.default_rng(1).integers(0, 256, size=(40, 30)).astype(np.uint8),
         np.random.default_rng(2).integers(-300, 300, size=(25, 31)).astype(np.int16),
         np.random.default_rng(3).integers(-7, 5, size=(8, 9)),  # int64 with negatives
-        np.array([[-128, 127], [0, -1]] * 70, dtype=np.int8),  # offsets wrap in the dtype
-        np.array([[np.iinfo(np.int64).min, -1], [0, np.iinfo(np.int64).max]]),  # span >= size: per-block path
-        np.array([[7, 7], [7, 900]], dtype=np.uint16),  # span >= size
-        np.array([[2**64 - 1, 2**63]], dtype=np.uint64),  # span >= size, values above int64
+        np.array([[-128, 127], [0, -1]] * 70, dtype=np.int8),  # both extremes of the dtype
+        np.array([[np.iinfo(np.int64).min, -1], [0, np.iinfo(np.int64).max]]),
+        np.array([[7, 7], [7, 900]], dtype=np.uint16),
+        np.array([[2**64 - 1, 2**63]], dtype=np.uint64),  # values above int64
         np.array([[-5]]),
         np.zeros((0, 4), dtype=np.int64),
         np.zeros((3, 0), dtype=np.int32),
@@ -385,9 +393,17 @@ def _counting(fmt):
 )
 def test_format_rows_on_integer_grids_equals_per_cell_formatting(monkeypatch, block_cells, grid):
     monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
-    fmt, calls = _counting(str)
-    got, want = _grid_text(grid, fmt, str)
+    got, want = _grid_text(grid, str)
     assert got == want
-    if grid.size and int(grid.max()) - int(grid.min()) < grid.size:
-        # every integer of the span is formatted once, for the whole grid
-        assert calls == list(range(int(grid.min()), int(grid.max()) + 1))
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
+def test_count_table_formats_each_count_once(monkeypatch, block_cells):
+    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    counts = np.random.default_rng(5).integers(0, 7, size=(12, 12))
+    table = ComparisonTable(tuple(f"r{i}" for i in range(12)), counts, "count", parameter_count=9)
+    fmt, calls = _counting(str)
+    got, want = _grid_text(table.counts, fmt, str, table.levels)
+    assert got == want
+    # every count in [0, m] is formatted once, for the whole table
+    assert calls == list(range(10))
