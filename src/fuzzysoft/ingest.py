@@ -85,7 +85,9 @@ def load_csv(
     The cohort holds the measurement columns ``specs`` name (default: the
     built-in variables) and the class labels. Object IDs are mu_1 ... mu_n by
     1-based data-row position unless the schema names an explicit ID column,
-    whose values must be unique. Parse failures name the row and column.
+    whose values must be unique. Every column read (the class and ID columns
+    included) must be named exactly once in the header; other columns may
+    repeat. Parse failures name the row and column.
     """
     if specs is None:
         specs = default_variable_specs()
@@ -99,17 +101,20 @@ def load_csv(
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    index: dict[str, int] = {}
-    for canonical in columns + [LABEL_COLUMN]:
-        source = schema.column_map.get(canonical, canonical)
+
+    def position(source: str, what: str) -> int:
+        # a read column named twice would silently read its first copy
+        if header.count(source) > 1:
+            raise DataError(f"{path}: header names column {source!r} {header.count(source)} times")
         if source not in header:
-            raise DataError(f"{path}: missing header column {source!r}")
-        index[canonical] = header.index(source)
-    id_index = None
-    if schema.id_column is not None:
-        if schema.id_column not in header:
-            raise DataError(f"{path}: missing ID column {schema.id_column!r}")
-        id_index = header.index(schema.id_column)
+            raise DataError(f"{path}: missing {what} {source!r}")
+        return header.index(source)
+
+    index = {
+        canonical: position(schema.column_map.get(canonical, canonical), "header column")
+        for canonical in columns + [LABEL_COLUMN]
+    }
+    id_index = None if schema.id_column is None else position(schema.id_column, "ID column")
 
     values: dict[str, list[float]] = {col: [] for col in columns}
     ids: dict[str, None] = {}  # insertion-ordered, for the duplicate check

@@ -8,6 +8,7 @@ row sum minus its column sum; higher scores rank as higher risk.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -108,6 +109,10 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
     difference mode: c[i][j] = sum over e of (d_i(e) - d_j(e)).
 
     Neither mode builds the n x n x m pairwise tensor: memory is O(n^2 + n*m).
+    Tables of at least ``_PARALLEL_TESTS`` pairwise tests are filled in
+    contiguous blocks of rows, one per usable CPU, each on its own thread
+    (numpy releases the GIL in these loops); smaller ones on the calling
+    thread. Every cell is computed the same way either way.
     """
     if not s.universe or not s.parameters:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
@@ -119,11 +124,50 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
 
 # Columns summed into the uint8 accumulator before it is flushed (255 cannot overflow).
 _FLUSH_COLUMNS = 255
-# Pairwise tests count mode holds at once (bool, so 1 MB): one column at
-# n = 1000, many for small tables, whose cost is otherwise per-call overhead.
+# Pairwise tests count mode holds at once (bool, so 1 MB), over all workers:
+# one column at n = 1000, many for small tables, whose cost is otherwise
+# per-call overhead.
 _COMPARE_CELLS = 1 << 20
-# Pairwise differences held at once by difference mode (float64, so 16 MB).
+# Pairwise differences held at once by difference mode (float64, so 16 MB), over all workers.
 _BLOCK_CELLS = 1 << 21
+# Tables of fewer pairwise tests (n * n * m) are filled on the calling thread:
+# below this, starting threads costs about what a second core saves.
+_PARALLEL_TESTS = 1 << 24
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _row_blocks(n: int, tests: int, most: int) -> list[slice]:
+    """Contiguous blocks of the n rows, one per worker, their sizes at most one apart.
+
+    One worker below ``_PARALLEL_TESTS`` pairwise tests, otherwise one per
+    usable CPU, but never more than ``most`` (1 <= most <= n).
+    """
+    workers = 1 if tests < _PARALLEL_TESTS else min(_usable_cpus(), most)
+    return [slice(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
+
+
+def _fill_row_blocks(fill: Callable[..., None], jobs: list[tuple]) -> None:
+    """Run ``fill(*job)`` for every job: one job on the calling thread, else one thread each.
+
+    Each job's buffers are allocated by the caller, on the calling thread,
+    before any worker starts: buffers allocated inside worker threads come
+    from glibc's per-thread arenas, which keep freed memory and raise the
+    process's peak RSS.
+    """
+    if len(jobs) == 1:
+        fill(*jobs[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs ~3 ms
+
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        for done in [pool.submit(fill, *job) for job in jobs]:
+            done.result()
 
 
 def _count_table(levels: Levels) -> np.ndarray:
@@ -137,9 +181,11 @@ def _count_table(levels: Levels) -> np.ndarray:
     pos_i, so pos_i < q_j. The test is therefore exactly the dense comparison
     ``d_i >= d_j - eps``, with the same float rounding.
 
-    Blocks of columns are tested at once and added into an n x n uint8
-    buffer, flushed into the int64 table before it can overflow, so memory
-    is O(n^2 + n*m).
+    Each row block (see ``_row_blocks``) tests blocks of columns at once and
+    adds them into its own uint8 accumulator, flushed into its rows of the
+    int64 table before it can overflow. The column step is set by the whole
+    table, so all workers' compare buffers together stay within
+    ``_COMPARE_CELLS``, and memory is O(n^2 + n*m) whatever the worker count.
     """
     values, codes = levels
     n, m = codes.shape
@@ -147,33 +193,53 @@ def _count_table(levels: Levels) -> np.ndarray:
     q = values.searchsorted(values - COMPARISON_EPSILON).astype(codes.dtype)[pos]
     step = min(_FLUSH_COLUMNS, m, max(1, _COMPARE_CELLS // (n * n)))
     counts = np.zeros((n, n), dtype=np.int64)
-    acc = np.empty((n, n), dtype=np.uint8)
-    hit = np.empty((step, n, n), dtype=bool)
-    hit_u8 = hit.view(np.uint8)  # same-type add, no bool-to-uint8 cast
-    for start in range(0, m, _FLUSH_COLUMNS):
-        stop = min(start + _FLUSH_COLUMNS, m)
-        acc.fill(0)
-        for e in range(start, stop, step):
-            k = min(step, stop - e)
-            np.greater_equal(pos[e : e + k, :, None], q[e : e + k, None, :], out=hit[:k])
-            # one column (all of them at n = 1000) is added with no reduce pass
-            np.add(acc, hit_u8[0] if k == 1 else np.add.reduce(hit_u8[:k]), out=acc)
-        counts += acc
+
+    def fill(rows: slice, acc: np.ndarray, hit_u8: np.ndarray, part: np.ndarray | None) -> None:
+        hit = hit_u8.view(bool)  # compared as bool, added as uint8: no bool-to-uint8 cast
+        for start in range(0, m, _FLUSH_COLUMNS):
+            stop = min(start + _FLUSH_COLUMNS, m)
+            acc.fill(0)
+            for e in range(start, stop, step):
+                k = min(step, stop - e)
+                np.greater_equal(pos[e : e + k, rows, None], q[e : e + k, None, :], out=hit[:k])
+                # one column (all of them at n = 1000) is added with no reduce pass
+                np.add(acc, hit_u8[0] if k == 1 else np.add.reduce(hit_u8[:k], out=part), out=acc)
+            counts[rows] += acc
+
+    jobs = []
+    for rows in _row_blocks(n, n * n * m, n):
+        shape = (rows.stop - rows.start, n)
+        part = np.empty(shape, dtype=np.uint8) if step > 1 else None
+        jobs.append((rows, np.empty(shape, dtype=np.uint8), np.empty((step, *shape), dtype=np.uint8), part))
+    _fill_row_blocks(fill, jobs)
     return counts
 
 
 def _difference_table(d: np.ndarray) -> np.ndarray:
     """Difference-mode table, summed over blocks of rows.
 
-    Each cell is the same pairwise sum over the same contiguous m values as
-    the whole-tensor expression, so it is bit-identical to it.
+    Each row block (see ``_row_blocks``) subtracts a few rows at a time into
+    its own buffer and sums it into those rows of the table. The buffers
+    together hold at most ``_BLOCK_CELLS`` differences, or one row each, so
+    there are no more workers than budgeted rows. Each cell is the same
+    pairwise sum over the same contiguous m values as the whole-tensor
+    expression, so it is bit-identical to it.
     """
     n, m = d.shape
-    rows = max(1, _BLOCK_CELLS // (n * m))
+    budget_rows = max(1, _BLOCK_CELLS // (n * m))
+    blocks = _row_blocks(n, n * n * m, min(n, budget_rows))
+    rows = budget_rows // len(blocks)
     counts = np.empty((n, n))
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        counts[block] = (d[block, None, :] - d[None, :, :]).sum(axis=2)
+
+    def fill(block: slice, buf: np.ndarray) -> None:
+        for start in range(block.start, block.stop, rows):
+            r = slice(start, min(start + rows, block.stop))
+            diff = buf[: r.stop - r.start]
+            np.subtract(d[r, None, :], d[None, :, :], out=diff)
+            diff.sum(axis=2, out=counts[r])
+
+    jobs = [(b, np.empty((min(rows, b.stop - b.start), n, m))) for b in blocks]
+    _fill_row_blocks(fill, jobs)
     return counts
 
 

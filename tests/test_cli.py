@@ -117,6 +117,20 @@ def test_header_only_csv_exits_2(tmp_path, capsys):
     assert _empty_or_absent(out)
 
 
+def test_csv_naming_a_read_column_twice_exits_2(tmp_path, capsys):
+    data = tmp_path / "twice.csv"
+    data.write_text(
+        "Age,BMI,Insulin,Leptin,Adiponectin,Classification,Age\n"
+        "50,23.01,5.66,35.59,26.72,1,90\n"
+        "44,24.74,58.46,18.16,16.10,2,80\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert run_cli("run", "--out", str(out), "--data", str(data)) == 2
+    assert "'Age' 2 times" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
 def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--not-a-flag")

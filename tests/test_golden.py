@@ -9,9 +9,11 @@ config hash covers the data path string, which differs between checkouts.
 The digests live in ``data/golden_digests.json``. To re-record them after an
 intended output change: ``PYTHONPATH=src python tests/test_golden.py``.
 """
+import concurrent.futures
 import hashlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,18 @@ def run_config(name: str, out: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, tmp_path):
+    assert run_config(name, tmp_path / "out") == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_reference_runs_start_no_thread(name, tmp_path, monkeypatch):
+    # every reference run's table is below scoring._PARALLEL_TESTS pairwise
+    # tests (116 rows by at most 432 columns), so it is filled on the calling thread
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread or pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     assert run_config(name, tmp_path / "out") == GOLDEN[name]
 
 

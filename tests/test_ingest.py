@@ -195,6 +195,26 @@ def test_duplicate_ids_name_the_id(tmp_path):
         load_csv(path, DatasetSchema(id_column="pid"))
 
 
+def test_read_columns_named_twice_are_rejected(tmp_path):
+    # a second Age would otherwise be ignored: the run would fuzzify age 50, not 90
+    path = _write(tmp_path, HEADER + ",Age\n50,25.0,90,4.2,2.1,10,12,8,300,1,90\n")
+    with pytest.raises(DataError, match="'Age' 2 times"):
+        load_csv(path)
+    # names are compared after strip(), and the class and ID columns count too
+    path = _write(tmp_path, HEADER + ", Classification\n50,25.0,90,4.2,2.1,10,12,8,300,1,2\n")
+    with pytest.raises(DataError, match="'Classification' 2 times"):
+        load_csv(path)
+    path = _write(tmp_path, "pid," + HEADER + ",pid\nP-1,50,25.0,90,4.2,2.1,10,12,8,300,1,P-2\n")
+    with pytest.raises(DataError, match="'pid' 2 times"):
+        load_csv(path, DatasetSchema(id_column="pid"))
+
+
+def test_ignored_columns_may_repeat(tmp_path):
+    path = _write(tmp_path, HEADER + ",Glucose,Note,Note\n50,25.0,90,4.2,2.1,10,12,8,300,1,91,a,b\n")
+    cohort = load_csv(path)
+    assert cohort.columns["Age"].tolist() == [50.0] and cohort.labels == (HEALTHY_CONTROL,)
+
+
 def test_label_encoding_onto_unknown_classes_is_a_config_error():
     with pytest.raises(ConfigError, match=r"got \['case', 'control'\]"):
         DatasetSchema(label_encoding={"1": "control", "2": "case"})

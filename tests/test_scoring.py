@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from fuzzysoft import (
     run_pipeline,
     scores,
 )
-from fuzzysoft.scoring import COMPARISON_EPSILON
+from fuzzysoft.scoring import COMPARISON_EPSILON, MODES
 from fuzzysoft.fixtures import (
     GROUND_TRUTH,
     PUBLISHED_SCORE_ROWS,
@@ -195,6 +196,108 @@ def test_count_table_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _force_workers(monkeypatch, workers):
+    """Fill every table in row blocks on ``workers`` usable CPUs, however small.
+
+    Returns the list to which each table appends the number of row blocks it used.
+    """
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(scoring, "_PARALLEL_TESTS", 0)
+    used = []
+    fill = scoring._fill_row_blocks
+    monkeypatch.setattr(scoring, "_fill_row_blocks", lambda f, jobs: (used.append(len(jobs)), fill(f, jobs)))
+    return used
+
+
+def _parallel_cases():
+    rng = np.random.default_rng(400)
+    flush = np.round(rng.random((30, 600)), 1)
+    flush[1] = flush[0]  # ties on all 600 columns: a cell above uint8's range
+    edge_sets = [
+        FuzzySoftSet(tuple(f"o{i}" for i in range(40)), tuple(f"v{k}e{j}" for j in range(m)), _level_edge_degrees(rng, 40, m))
+        for k, m in enumerate((3, 2, 4))
+    ]
+    return {
+        "ties": _soft_set(np.round(rng.random((53, 41)), 1)),
+        "epsilon-ulps": _soft_set(np.column_stack([_near_epsilon_column(rng, 60) for _ in range(8)])),
+        "product-level-edges": product_n(edge_sets, "max"),
+        "flush-600": _soft_set(flush),
+        "n=1": _soft_set(np.round(rng.random((1, 5)), 1)),
+        "n=2": _soft_set(np.round(rng.random((2, 9)), 1)),
+        "n=37": _soft_set(np.round(rng.random((37, 13)), 1)),  # uneven over 2, 3 and 7 blocks
+    }
+
+
+PARALLEL_CASES = _parallel_cases()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, case, workers):
+    s = PARALLEL_CASES[case]
+    n, m = s.degrees.shape
+    used = _force_workers(monkeypatch, workers)
+    want = {"count": _dense_count(s.degrees), "difference": _dense_difference(s.degrees).view(np.int64)}
+    # the default budgets, then one column and five rows of differences at a time
+    for compare_cells, block_cells in ((scoring._COMPARE_CELLS, scoring._BLOCK_CELLS), (1, 5 * n * m)):
+        monkeypatch.setattr(scoring, "_COMPARE_CELLS", compare_cells)
+        monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
+        assert np.array_equal(comparison_table(s, "count").counts, want["count"])
+        assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want["difference"])
+    assert used == [min(workers, n)] * 3 + [min(workers, n, 5)]
+
+
+def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
+    # more workers than cores, each making many small numpy calls into one shared table
+    rng = np.random.default_rng(14)
+    s = _soft_set(np.round(rng.random((211, 57)), 1))
+    want_count, want_difference = _dense_count(s.degrees), _dense_difference(s.degrees).view(np.int64)
+    _force_workers(monkeypatch, 7)
+    monkeypatch.setattr(scoring, "_COMPARE_CELLS", 1)
+    monkeypatch.setattr(scoring, "_BLOCK_CELLS", 7 * 211 * 57)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(comparison_table(s, "count").counts, want_count)
+            assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want_difference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_row_blocks_run_on_threads_only_above_the_threshold(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    real = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    s = _soft_set(np.round(np.random.default_rng(13).random((64, 4096)), 1))
+    assert 64 * 64 * 4096 == scoring._PARALLEL_TESTS
+    for mode in MODES:
+        comparison_table(s, mode)
+    monkeypatch.setattr(scoring, "_PARALLEL_TESTS", 64 * 64 * 4096 + 1)
+    for mode in MODES:
+        comparison_table(s, mode)
+    assert pools == [2, 2]
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3, 7])
+def test_difference_table_memory_is_bounded(monkeypatch, workers):
+    # the dense n x n x m float64 tensor would be about 3.5 GB here
+    if workers is not None:
+        monkeypatch.setattr(scoring, "_usable_cpus", lambda: workers)
+    s = _soft_set(np.random.default_rng(5).random((1000, 432)))
+    tracemalloc.start()
+    try:
+        comparison_table(s, "difference")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 8 MB table and at most 16 MB of differences
+    assert peak < 24 * 2**20
 
 
 def test_comparison_rejects_empty():
