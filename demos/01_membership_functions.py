@@ -36,7 +36,7 @@ for spec in default_variable_specs():
 # Curve samples are plot-ready: x plus one degree per label.
 age_spec = default_variable_specs()[0]
 print(f"\nage curves sampled at five points over {age_spec.display_range}:")
+xs = np.linspace(*age_spec.display_range, 5)
 for part in age_spec.partitions:
-    pts = part.mf.sample(*age_spec.display_range, 5)
-    rendered = "  ".join(f"{x:5.1f}:{y:.2f}" for x, y in pts)
+    rendered = "  ".join(f"{x:5.1f}:{y:.2f}" for x, y in zip(xs, part.mf.evaluate_many(xs)))
     print(f"  {part.code:>2}  {rendered}")

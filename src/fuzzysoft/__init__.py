@@ -29,7 +29,7 @@ from .variables import (
     specs_from_json,
     specs_to_json,
 )
-from .reduction import ReductionResult, choice_values, find_reductions, is_dispensable, optimal_objects
+from .reduction import ReductionResult, choice_values, find_reductions, optimal_objects
 from .scoring import (
     HEALTHY,
     HIGH_RISK,
@@ -78,7 +78,6 @@ __all__ = [
     "ReductionResult",
     "choice_values",
     "optimal_objects",
-    "is_dispensable",
     "find_reductions",
     "HIGH_RISK",
     "HEALTHY",

@@ -38,26 +38,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("run", help="run the full pipeline and write every output")
+    # each flag's dest is a PipelineConfig field, and its default that field's default
+    config = PipelineConfig()
     p.add_argument(
         "--data",
-        default=BUILTIN_SOURCE,
-        help=f"CSV path, or '{BUILTIN_SOURCE}' for the built-in cohort (default)",
+        dest="data_source",
+        default=config.data_source,
+        help=f"CSV path, or '{BUILTIN_SOURCE}' for the built-in cohort (default: %(default)s)",
     )
-    p.add_argument("--spec", default=None, help="variable definitions JSON (default: built-in)")
-    p.add_argument("--combiner", choices=COMBINERS, default="max",
-                   help="product combiner (default: max, as published)")
-    p.add_argument("--mode", choices=MODES, default="count",
-                   help="comparison mode (default: count, as published)")
-    p.add_argument("--reduction", choices=REDUCTIONS, default="per-variable",
-                   help="parameter reduction preserving the optimal objects (default: per-variable)")
-    p.add_argument("--threshold", type=float, default=0.0,
-                   help="risk threshold on scores (default: 0)")
-    p.add_argument("--out", default="out", help="output directory (default: out)")
-    p.add_argument("--round", type=int, default=2, dest="round_digits",
-                   help="display rounding for text reports (default: 2)")
-    p.add_argument("--product-source", choices=PRODUCT_SOURCES, default="auto", dest="product_source",
+    p.add_argument("--spec", dest="spec_path", default=config.spec_path,
+                   help="variable definitions JSON (default: built-in)")
+    p.add_argument("--combiner", choices=COMBINERS, default=config.combiner,
+                   help="product combiner (default: %(default)s, as published)")
+    p.add_argument("--mode", choices=MODES, default=config.mode,
+                   help="comparison mode (default: %(default)s, as published)")
+    p.add_argument("--reduction", choices=REDUCTIONS, default=config.reduction,
+                   help="parameter reduction preserving the optimal objects (default: %(default)s)")
+    p.add_argument("--threshold", type=float, default=config.threshold,
+                   help="risk threshold on scores (default: %(default)s)")
+    p.add_argument("--out", dest="out_dir", default=config.out_dir,
+                   help="output directory (default: %(default)s)")
+    p.add_argument("--round", type=int, dest="round_digits", default=config.round_digits,
+                   help="display rounding for text reports (default: %(default)s)")
+    p.add_argument("--product-source", choices=PRODUCT_SOURCES, dest="product_source",
+                   default=config.product_source,
                    help="score the published 72-column product table or a recomputed one "
-                        "(default: auto = published for the study-faithful configuration)")
+                        "(default: %(default)s = published for the study-faithful configuration)")
 
     p = sub.add_parser("curves", help="write plot-ready membership-curve samples per variable")
     p.add_argument("--spec", default=None, help="variable definitions JSON (default: built-in)")
@@ -86,19 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {files[name]}")
             return EXIT_OK
 
-        result = run_pipeline(
-            PipelineConfig(
-                data_source=args.data,
-                spec_path=args.spec,
-                combiner=args.combiner,
-                mode=args.mode,
-                reduction=args.reduction,
-                threshold=args.threshold,
-                out_dir=args.out,
-                round_digits=args.round_digits,
-                product_source=args.product_source,
-            )
-        )
+        fields = {name: value for name, value in vars(args).items() if name != "command"}
+        result = run_pipeline(PipelineConfig(**fields))
         for name in sorted(result.files):
             print(f"wrote {result.files[name]}")
         print(f"product source: {result.product_source_used} "

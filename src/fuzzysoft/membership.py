@@ -62,36 +62,18 @@ class MembershipFunction:
         object.__setattr__(self, "_ys", ys)
 
     def evaluate(self, x: float) -> float:
-        """Degree at measurement ``x``; linear between breakpoints, tails outside."""
-        if not math.isfinite(x):
-            raise ValueError(f"measurement must be finite, got {x}")
-        y = float(np.interp(x, self._xs, self._ys, left=self.left_tail, right=self.right_tail))
-        # interpolation rounding can step a hair outside [0, 1] at subnormal
-        # breakpoint degrees; the clamp is identity everywhere else
-        return min(1.0, max(0.0, y))
-
-    __call__ = evaluate
+        """Degree at one measurement ``x``: ``evaluate_many`` at that point."""
+        return float(self.evaluate_many(x))
 
     def evaluate_many(self, xs) -> np.ndarray:
+        """Degree at each measurement; linear between breakpoints, tails outside."""
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs)):
             raise ValueError("measurements must be finite")
         ys = np.interp(xs, self._xs, self._ys, left=self.left_tail, right=self.right_tail)
+        # interpolation rounding can step a hair outside [0, 1] at subnormal
+        # breakpoint degrees; the clip is identity everywhere else
         return np.clip(ys, 0.0, 1.0)
-
-    def sample(self, lo: float, hi: float, n: int) -> list[tuple[float, float]]:
-        """n evenly spaced (x, degree) samples over [lo, hi].
-
-        Each sampled degree equals ``evaluate`` at that x exactly; the samples
-        are suitable for plotting the curve externally.
-        """
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        if n < 2:
-            raise ValueError(f"need at least 2 samples, got {n}")
-        xs = np.linspace(lo, hi, n)
-        ys = self.evaluate_many(xs)
-        return list(zip(xs.tolist(), ys.tolist()))
 
 
 def make_piecewise(nodes, left_tail: float = 0.0, right_tail: float = 0.0) -> MembershipFunction:

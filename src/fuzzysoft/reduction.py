@@ -18,18 +18,17 @@ the search visits, so the full parameter set always preserves its own target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .softset import FuzzySoftSet, restrict
+from .softset import FuzzySoftSet
 
 __all__ = [
     "TIE_EPSILON",
     "ReductionResult",
     "choice_values",
     "optimal_objects",
-    "is_dispensable",
     "find_reductions",
 ]
 
@@ -71,24 +70,6 @@ def optimal_objects(s: FuzzySoftSet) -> frozenset[str]:
     f = choice_values(s)
     best = f.max()
     return frozenset(s.universe[i] for i in np.flatnonzero(f >= best - TIE_EPSILON))
-
-
-def is_dispensable(s: FuzzySoftSet, subset: Iterable[str]) -> bool:
-    """True iff removing ``subset`` leaves the optimal-object set unchanged.
-
-    ``subset`` must be a strict subset of the parameters; the empty subset is
-    vacuously dispensable.
-    """
-    drop = set(subset)
-    unknown = drop - set(s.parameters)
-    if unknown:
-        raise ValueError(f"unknown parameter labels: {sorted(unknown)}")
-    keep = [p for p in s.parameters if p not in drop]
-    if not keep:
-        raise ValueError("subset must be a strict subset of the parameters")
-    if not drop:
-        return True
-    return optimal_objects(restrict(s, keep)) == optimal_objects(s)
 
 
 def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterator[tuple[int, np.ndarray]]:

@@ -124,10 +124,6 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
 
 # Columns summed into the uint8 accumulator before it is flushed (255 cannot overflow).
 _FLUSH_COLUMNS = 255
-# Pairwise tests count mode holds at once (bool, so 1 MB), over all workers:
-# one column at n = 1000, many for small tables, whose cost is otherwise
-# per-call overhead.
-_COMPARE_CELLS = 1 << 20
 # Pairwise differences held at once by difference mode (float64, so 16 MB), over all workers.
 _BLOCK_CELLS = 1 << 21
 # Tables of fewer pairwise tests (n * n * m) are filled on the calling thread:
@@ -181,36 +177,31 @@ def _count_table(levels: Levels) -> np.ndarray:
     pos_i, so pos_i < q_j. The test is therefore exactly the dense comparison
     ``d_i >= d_j - eps``, with the same float rounding.
 
-    Each row block (see ``_row_blocks``) tests blocks of columns at once and
-    adds them into its own uint8 accumulator, flushed into its rows of the
-    int64 table before it can overflow. The column step is set by the whole
-    table, so all workers' compare buffers together stay within
-    ``_COMPARE_CELLS``, and memory is O(n^2 + n*m) whatever the worker count.
+    Each row block (see ``_row_blocks``) compares one column at a time into
+    its own rows-by-n bool buffer and adds that into its own uint8 accumulator,
+    flushed into its rows of the int64 table every ``_FLUSH_COLUMNS``
+    columns, before it can overflow. Memory is O(n^2 + n*m) whatever the
+    worker count.
     """
     values, codes = levels
     n, m = codes.shape
     pos = np.ascontiguousarray(codes.T)
     q = values.searchsorted(values - COMPARISON_EPSILON).astype(codes.dtype)[pos]
-    step = min(_FLUSH_COLUMNS, m, max(1, _COMPARE_CELLS // (n * n)))
     counts = np.zeros((n, n), dtype=np.int64)
 
-    def fill(rows: slice, acc: np.ndarray, hit_u8: np.ndarray, part: np.ndarray | None) -> None:
+    def fill(rows: slice, acc: np.ndarray, hit_u8: np.ndarray) -> None:
         hit = hit_u8.view(bool)  # compared as bool, added as uint8: no bool-to-uint8 cast
         for start in range(0, m, _FLUSH_COLUMNS):
-            stop = min(start + _FLUSH_COLUMNS, m)
             acc.fill(0)
-            for e in range(start, stop, step):
-                k = min(step, stop - e)
-                np.greater_equal(pos[e : e + k, rows, None], q[e : e + k, None, :], out=hit[:k])
-                # one column (all of them at n = 1000) is added with no reduce pass
-                np.add(acc, hit_u8[0] if k == 1 else np.add.reduce(hit_u8[:k], out=part), out=acc)
+            for e in range(start, min(start + _FLUSH_COLUMNS, m)):
+                np.greater_equal(pos[e, rows, None], q[e, None, :], out=hit)
+                np.add(acc, hit_u8, out=acc)
             counts[rows] += acc
 
     jobs = []
     for rows in _row_blocks(n, n * n * m, n):
         shape = (rows.stop - rows.start, n)
-        part = np.empty(shape, dtype=np.uint8) if step > 1 else None
-        jobs.append((rows, np.empty(shape, dtype=np.uint8), np.empty((step, *shape), dtype=np.uint8), part))
+        jobs.append((rows, np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8)))
     _fill_row_blocks(fill, jobs)
     return counts
 

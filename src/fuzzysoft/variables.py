@@ -78,10 +78,13 @@ class VariableSpec:
         for text in (self.name, *codes):
             if "\0" in text or any("\ud800" <= ch <= "\udfff" for ch in text):
                 raise ValueError(f"variable {self.name!r}: {text!r} holds a NUL or a lone surrogate")
+        if "/" in self.name or "\\" in self.name:
+            raise ValueError(f"variable {self.name!r}: a name may not hold a path separator")
         lo, hi = self.display_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        # curves sample linspace(lo, hi), whose step is inf when hi - lo overflows
+        if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError(
-                f"variable {self.name!r} needs a finite display range lo < hi, got {self.display_range}"
+                f"variable {self.name!r} needs a display range lo < hi of finite width, got {self.display_range}"
             )
 
     @property

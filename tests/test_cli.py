@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fuzzysoft import DatasetSchema, pipeline, specs_to_json, default_variable_specs
+from fuzzysoft import ConfigError, DatasetSchema, PipelineConfig, pipeline, specs_to_json, default_variable_specs
+from fuzzysoft import cli
 from fuzzysoft.cli import build_parser, main
 from fuzzysoft.scoring import MODES
 from fuzzysoft.softset import COMBINERS
@@ -210,6 +211,20 @@ def test_run_choices_are_the_library_lists():
     assert list(choices["product_source"]) == list(pipeline.PRODUCT_SOURCES)
 
 
+def test_run_without_flags_builds_the_default_config(monkeypatch):
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        raise ConfigError("captured")
+
+    monkeypatch.setattr(cli, "run_pipeline", capture)
+    assert run_cli("run") == 1
+    assert configs == [PipelineConfig()]
+    assert run_cli("run", "--data", "x.csv", "--spec", "v.json", "--out", "o", "--round", "3") == 1
+    assert configs[1] == PipelineConfig(data_source="x.csv", spec_path="v.json", out_dir="o", round_digits=3)
+
+
 def test_spec_on_an_unmodeled_csv_column_runs(tmp_path, csv_116):
     # Glucose is in the file but not among the default variables.
     spec = [{"name": "GLU", "column": "Glucose",
@@ -275,6 +290,36 @@ def test_curves_with_degenerate_display_range_exits_1(tmp_path):
     out = tmp_path / "curves"
     assert run_cli("curves", "--out", str(out), "--spec", str(spec_file)) == 1
     assert _empty_or_absent(out)
+
+
+@pytest.mark.parametrize("command", ["run", "curves"])
+def test_display_range_of_overflowing_width_exits_1(tmp_path, capsys, command):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    spec[0]["display_range"] = [-1e308, 1e308]  # each end finite, hi - lo is not
+    spec_file = tmp_path / "wide.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "finite width" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
+@pytest.mark.parametrize("command", ["run", "curves"])
+@pytest.mark.parametrize("name", ["x/../../escaped", "A/B", "A\\B"])
+def test_spec_name_with_a_path_separator_exits_1(tmp_path, capsys, command, name):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    spec[0]["name"] = name
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "a" / "out"
+    # with these present, fuzzy_x/../../escaped.csv would resolve to a/escaped.csv
+    for sub in ("fuzzy_x", "curves_x"):
+        (out / sub).mkdir(parents=True)
+    assert run_cli(command, "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "path separator" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "a", "a/out", "a/out/curves_x", "a/out/fuzzy_x", "spec.json",
+    ]
 
 
 def test_duplicate_ids_exit_2(tmp_path, monkeypatch):

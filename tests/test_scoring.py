@@ -167,15 +167,6 @@ def test_product_levels_hold_int16_codes_and_widen_past_them():
     _check_levels(wide)
 
 
-def test_count_table_compares_blocks_of_columns_on_small_tables(monkeypatch):
-    # the block of columns compared at once, from one column to past the flush
-    degrees = np.round(np.random.default_rng(12).random((9, 600)), 1)
-    want = _dense_count(degrees)
-    for cells in (1, 81 * 7, 81 * 300):
-        monkeypatch.setattr(scoring, "_COMPARE_CELLS", cells)
-        assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, want)
-
-
 @pytest.mark.parametrize("block_cells", [1, 5000, 1 << 21])
 @pytest.mark.parametrize("shape", [(37, 17), (116, 30), (150, 100)])
 def test_blocked_difference_table_is_bit_identical_to_dense(monkeypatch, block_cells, shape):
@@ -239,14 +230,13 @@ def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, ca
     s = PARALLEL_CASES[case]
     n, m = s.degrees.shape
     used = _force_workers(monkeypatch, workers)
-    want = {"count": _dense_count(s.degrees), "difference": _dense_difference(s.degrees).view(np.int64)}
-    # the default budgets, then one column and five rows of differences at a time
-    for compare_cells, block_cells in ((scoring._COMPARE_CELLS, scoring._BLOCK_CELLS), (1, 5 * n * m)):
-        monkeypatch.setattr(scoring, "_COMPARE_CELLS", compare_cells)
+    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+    want = _dense_difference(s.degrees).view(np.int64)
+    # the default budget, then five rows of differences at a time
+    for block_cells in (scoring._BLOCK_CELLS, 5 * n * m):
         monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
-        assert np.array_equal(comparison_table(s, "count").counts, want["count"])
-        assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want["difference"])
-    assert used == [min(workers, n)] * 3 + [min(workers, n, 5)]
+        assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want)
+    assert used == [min(workers, n)] * 2 + [min(workers, n, 5)]
 
 
 def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
@@ -255,7 +245,6 @@ def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
     s = _soft_set(np.round(rng.random((211, 57)), 1))
     want_count, want_difference = _dense_count(s.degrees), _dense_difference(s.degrees).view(np.int64)
     _force_workers(monkeypatch, 7)
-    monkeypatch.setattr(scoring, "_COMPARE_CELLS", 1)
     monkeypatch.setattr(scoring, "_BLOCK_CELLS", 7 * 211 * 57)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
