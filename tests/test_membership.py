@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzysoft import make_piecewise, right_shoulder, triangle
+from fuzzysoft import make_piecewise, left_shoulder, right_shoulder, triangle
 
 
 def test_old_age_saturates_above_last_node():
@@ -69,6 +69,14 @@ def test_sample_endpoints_are_node_values():
     # a curve sampled over a breakpoint span starts and ends at its breakpoint degrees
     old = right_shoulder(50, 65)
     assert old.evaluate_many(np.linspace(50, 65, 2)).tolist() == [0.0, 1.0]
+
+
+def test_sample_matches_evaluate_exactly():
+    # curve samples (evaluate_many over a linspace) equal evaluate point by point
+    child = left_shoulder(5, 15)
+    xs = np.linspace(0, 20, 5)
+    for x, y in zip(xs.tolist(), child.evaluate_many(xs).tolist()):
+        assert y == child.evaluate(x)
 
 
 def test_degrees_always_within_unit_interval():
