@@ -7,6 +7,7 @@ violation. ``verify`` additionally exits 1 when a hard fixture check fails.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import __version__
@@ -66,9 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: %(default)s = published for the study-faithful configuration)")
 
     p = sub.add_parser("curves", help="write plot-ready membership-curve samples per variable")
-    p.add_argument("--spec", default=None, help="variable definitions JSON (default: built-in)")
-    p.add_argument("--out", default="curves", help="output directory (default: curves)")
-    p.add_argument("--samples", type=int, default=101, help="samples per curve (default: 101)")
+    # the defaults are emit_curves' own keyword defaults
+    curves = {name: param.default for name, param in inspect.signature(emit_curves).parameters.items()}
+    p.add_argument("--spec", default=curves["specs"], help="variable definitions JSON (default: built-in)")
+    p.add_argument("--out", default=curves["out_dir"], help="output directory (default: %(default)s)")
+    p.add_argument("--samples", type=int, default=curves["samples_per_curve"],
+                   help="samples per curve (default: %(default)s)")
 
     p = sub.add_parser("verify", help="check every published reference table and report deltas")
     p.add_argument("--verbose", action="store_true", help="show per-cell details for passing checks too")

@@ -42,24 +42,25 @@ class MembershipFunction:
         nodes = tuple((float(x), float(y)) for x, y in self.nodes)
         if not nodes:
             raise ValueError("membership function needs at least one breakpoint")
-        xs = np.array([x for x, _ in nodes], dtype=float)
-        ys = np.array([y for _, y in nodes], dtype=float)
-        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
+        # a few breakpoints each: plain floats check them faster than numpy
+        xs = [x for x, _ in nodes]
+        ys = [y for _, y in nodes]
+        if not all(map(math.isfinite, xs + ys)):
             raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError(f"breakpoint x values must be strictly increasing, got {xs.tolist()}")
+        if any(a >= b for a, b in zip(xs, xs[1:])):
+            raise ValueError(f"breakpoint x values must be strictly increasing, got {xs}")
         for val, what in [(self.left_tail, "left_tail"), (self.right_tail, "right_tail")]:
             if not (math.isfinite(val) and 0.0 <= val <= 1.0):
                 raise ValueError(f"{what} must be a degree in [0, 1], got {val}")
-        if np.any((ys < 0.0) | (ys > 1.0)):
-            raise ValueError(f"breakpoint degrees must lie in [0, 1], got {ys.tolist()}")
+        if not all(0.0 <= y <= 1.0 for y in ys):
+            raise ValueError(f"breakpoint degrees must lie in [0, 1], got {ys}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "left_tail", float(self.left_tail))
         object.__setattr__(self, "right_tail", float(self.right_tail))
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "_xs", xs)
-        object.__setattr__(self, "_ys", ys)
+        for name, values in [("_xs", xs), ("_ys", ys)]:
+            array = np.array(values)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def evaluate(self, x: float) -> float:
         """Degree at one measurement ``x``: ``evaluate_many`` at that point."""

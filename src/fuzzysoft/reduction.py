@@ -38,8 +38,10 @@ TIE_EPSILON = 1e-9
 
 DEFAULT_PARAMETER_CAP = 20
 
-# Cells (objects x subsets) in one block of subset sums; 512 KB of float64.
-_BLOCK_CELLS = 1 << 16
+# Cells (objects x subsets) in one block of subset sums; 256 KB of float64.
+_BLOCK_CELLS = 1 << 15
+# Cells of subset sums held at once (table, depth-first stack, scratch); 2 MB.
+_HELD_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,29 @@ def optimal_objects(s: FuzzySoftSet) -> frozenset[str]:
     return frozenset(s.universe[i] for i in np.flatnonzero(f >= best - TIE_EPSILON))
 
 
-def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterator[tuple[int, np.ndarray]]:
+def _subset_sums(
+    degrees: np.ndarray, block_cells: int = _BLOCK_CELLS, held_cells: int = _HELD_CELLS
+) -> Iterator[tuple[int, np.ndarray]]:
     """Choice values of every parameter subset, one block of subsets at a time.
 
     Subset ``mask`` holds parameter ``j`` iff bit ``j`` is set. Yields
     ``(first, sums)`` where ``sums[:, k]`` holds the choice values of subset
     ``first + k``, added left to right in parameter order exactly as
-    ``choice_values`` adds them. The low parameters' sums are a prefix table
-    built by doubling; each later block adds the high parameters of its mask
-    to that table, into one buffer reused between blocks.
+    ``choice_values`` adds them. The yielded array is reused: read it before
+    advancing the iterator.
+
+    The low parameters' sums are a prefix table built by doubling, one block
+    of at most ``block_cells`` cells. A high mask's block is its parent's
+    block plus the column of its highest bit, where the parent is the mask
+    without that bit: the same left-to-right order, at the cost of one
+    broadcast fill and one flat add per block. The high masks are visited
+    depth first, so a parent's block is ready before its children's, and
+    each block stays on a stack until its subtree is done. The table, the
+    stack and one scratch block hold at most ``held_cells`` cells (a budget
+    too small for the table and the scratch block still gets them). A mask
+    deeper than the stack is computed in the scratch block: from its parent
+    there when the parent was the block just yielded, and otherwise from
+    its ancestor at the held depth, adding its remaining columns one by one.
     """
     n, m = degrees.shape
     low = min(m, max(1, block_cells // n).bit_length() - 1)
@@ -88,13 +104,46 @@ def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterat
     for b in range(low):
         np.add(table[:, : 1 << b], degrees[:, b, None], out=table[:, 1 << b : 2 << b])
     yield 0, table
-    block = np.empty_like(table)
-    for high in range(1, 1 << (m - low)):
-        cols = [low + b for b in range(m - low) if high >> b & 1]
-        np.add(table, degrees[:, cols[0], None], out=block)
-        for j in cols[1:]:
-            block += degrees[:, j, None]
+    top = m - low
+    if not top:
+        return
+    # Blocks past the table: all of the stack, or the held stack and the scratch block.
+    room = held_cells // table.size - 1
+    held = top if room >= top else max(0, room - 1)
+    stack = [table] + [np.empty_like(table) for _ in range(held)]
+    scratch = np.empty_like(table) if held < top else None
+    bits = [degrees[:, low + b, None] for b in range(top)]
+    # high masks depth first: a node's children add each bit above its highest
+    high, depth, last, grew = 1, 1, 0, True
+    while True:
+        if depth <= held:
+            block = stack[depth]
+            np.copyto(block, bits[last])
+            np.add(block, stack[depth - 1], out=block)
+        elif grew and depth > held + 1:  # the parent was the last block yielded
+            block += bits[last]
+        else:
+            block = scratch
+            rest = [b for b in range(last + 1) if high >> b & 1]
+            np.copyto(block, bits[rest[held]])
+            np.add(block, stack[held], out=block)
+            for b in rest[held + 1 :]:
+                block += bits[b]
         yield high << low, block
+        grew = last + 1 < top
+        if grew:  # descend: add the next bit up
+            last += 1
+            high |= 1 << last
+            depth += 1
+            continue
+        # a leaf: drop its top bit, then move the new top bit up by one
+        high ^= 1 << last
+        if not high:
+            return
+        last = high.bit_length() - 1
+        high ^= 3 << last
+        last += 1
+        depth -= 1
 
 
 def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[ReductionResult]:

@@ -251,8 +251,8 @@ def scores(table: ComparisonTable) -> ScoreReport:
 def classify(report: ScoreReport, threshold: float = 0.0) -> dict[str, str]:
     """Predict high-risk for every object scoring strictly above ``threshold``."""
     return {
-        oid: (HIGH_RISK if report.scores[i] > threshold else HEALTHY)
-        for i, oid in enumerate(report.universe)
+        oid: (HIGH_RISK if score > threshold else HEALTHY)
+        for oid, score in zip(report.universe, report.scores.tolist())
     }
 
 
@@ -270,17 +270,19 @@ def evaluate(predictions: Mapping[str, str], labels: Mapping[str, str]) -> float
     return correct / len(labels)
 
 
+def _score_rows(report: ScoreReport):
+    """``(object, row_sum, column_sum, score)`` per object, each array read once as Python numbers."""
+    return zip(report.universe, report.row_sums.tolist(), report.column_sums.tolist(), report.scores.tolist())
+
+
 def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) -> str:
     """CSV rendering: ``object,row_sum,column_sum,score,prediction,label``."""
     fmt = number_format(report.mode)
     lines = ["object,row_sum,column_sum,score,prediction,label"]
-    for i, oid in enumerate(report.universe):
+    for oid, row_sum, column_sum, score in _score_rows(report):
         pred = report.predictions.get(oid, "") if report.predictions else ""
         label = labels.get(oid, "") if labels else ""
-        lines.append(
-            f"{csv_field(oid)},{fmt(report.row_sums[i])},{fmt(report.column_sums[i])},"
-            f"{fmt(report.scores[i])},{pred},{label}"
-        )
+        lines.append(f"{csv_field(oid)},{fmt(row_sum)},{fmt(column_sum)},{fmt(score)},{pred},{label}")
     return "\n".join(lines) + "\n"
 
 
@@ -288,11 +290,9 @@ def format_report_text(report: ScoreReport, decimals: int = 2) -> str:
     """Aligned text table of row sums, column sums, scores and predictions."""
     fmt = number_format(report.mode, decimals)
     rows = [("Sample No", "Row Sum", "Column Sum", "Score", "Prediction")]
-    for i, oid in enumerate(report.universe):
+    for oid, row_sum, column_sum, score in _score_rows(report):
         pred = report.predictions.get(oid, "") if report.predictions else ""
-        rows.append(
-            (oid, fmt(report.row_sums[i]), fmt(report.column_sums[i]), fmt(report.scores[i]), pred)
-        )
+        rows.append((oid, fmt(row_sum), fmt(column_sum), fmt(score), pred))
     widths = [max(len(r[c]) for r in rows) for c in range(5)]
     lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
     if report.accuracy is not None:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -209,6 +210,12 @@ def test_run_choices_are_the_library_lists():
     assert list(choices["mode"]) == list(MODES)
     assert list(choices["reduction"]) == list(pipeline.REDUCTIONS)
     assert list(choices["product_source"]) == list(pipeline.PRODUCT_SOURCES)
+
+
+def test_curves_defaults_are_emit_curves_keyword_defaults():
+    defaults = {name: p.default for name, p in inspect.signature(pipeline.emit_curves).parameters.items()}
+    args = build_parser().parse_args(["curves"])
+    assert (args.spec, args.out, args.samples) == (defaults["specs"], defaults["out_dir"], defaults["samples_per_curve"])
 
 
 def test_run_without_flags_builds_the_default_config(monkeypatch):

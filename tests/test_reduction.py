@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 
@@ -249,19 +250,34 @@ def test_reference_agrees_on_the_cohort(computed_sets, published_sets):
         assert find_reductions(s) == per_subset_reductions(s)
 
 
-@pytest.mark.parametrize("n,m,block_cells", [(2, 6, 1 << 16), (3, 7, 8), (8, 9, 64), (40, 8, 1 << 16), (700, 9, 1 << 16)])
+def _assert_bitwise_per_subset_sums(degrees, *budget):
+    n, m = degrees.shape
+    yielded = np.zeros(1 << m, dtype=int)
+    for first, sums in _subset_sums(degrees, *budget):
+        assert sums.shape[0] == n
+        for k in range(sums.shape[1]):
+            combo = [j for j in range(m) if (first + k) >> j & 1]
+            want = degrees[:, combo].sum(axis=1) if combo else np.zeros(n)
+            assert sums[:, k].tobytes() == want.tobytes(), (first + k, budget)
+        yielded[first : first + sums.shape[1]] += 1
+    assert (yielded == 1).all(), budget  # every mask exactly once
+
+
+@pytest.mark.parametrize(
+    "n,m,block_cells",
+    [(2, 6, 1 << 16), (3, 7, 8), (8, 9, 64), (40, 8, 1 << 16), (700, 9, 1 << 16), (5, 8, 1), (116, 14, None), (1000, 16, None)],
+)
 def test_subset_sums_are_bitwise_the_per_subset_sums(n, m, block_cells):
     rng = np.random.default_rng(n * 100 + m)
     for degrees in (rng.random((n, m)), np.asfortranarray(rng.random((n, m)).round(2))):
-        seen = 0
-        for first, sums in _subset_sums(degrees, block_cells):
-            assert sums.shape[0] == n
-            for k in range(sums.shape[1]):
-                combo = [j for j in range(m) if (first + k) >> j & 1]
-                want = degrees[:, combo].sum(axis=1) if combo else np.zeros(n)
-                assert sums[:, k].tobytes() == want.tobytes(), (first + k)
-            seen += sums.shape[1]
-        assert seen == 1 << m
+        if block_cells is None:  # the default budget: (116, 14) fills the held stack, (1000, 16) needs the scratch block
+            _assert_bitwise_per_subset_sums(degrees)
+            continue
+        _assert_bitwise_per_subset_sums(degrees, block_cells)
+        # budgets that hold the table and a stack 0, 1 or 2 blocks deep, computing deeper masks in a scratch block
+        table_cells = next(_subset_sums(degrees, block_cells))[1].size
+        for held in range(3):
+            _assert_bitwise_per_subset_sums(degrees, block_cells, table_cells * (held + 2))
 
 
 def test_full_set_preserves_its_own_optimal_objects_near_the_tie_guard():
@@ -296,3 +312,26 @@ def test_search_memory_stays_in_blocks():
         tracemalloc.stop()
     # one (2^16, 1000) table of sums would be 524 MB
     assert peak < 4 * 2**20, peak
+
+
+def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
+    # m = 17 at n = 116 reaches both the held stack and the scratch block
+    s = _soft_set(np.random.default_rng(4).random((116, 17)).round(2))
+    find_reductions(s)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            find_reductions(s)
+        kept = tracemalloc.get_traced_memory()[0] - baseline
+        unreachable = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # One block of sums is 232 KB and a search holds seven, so blocks kept
+    # alive by a reference cycle would show in MB. What remains is small
+    # objects on CPython's free lists, which only a collection empties.
+    assert kept < 2**18, kept
+    assert unreachable == 0
