@@ -81,6 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # IDs such as μ_1 and output paths may not fit the terminal's encoding:
+    # escape what it cannot show rather than fail after the run
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -5,13 +5,15 @@ the reduction summary, the product table that was scored, the comparison
 table, the score report, and a JSON manifest recording the configuration.
 Outputs are deterministic: identical configurations produce byte-identical
 files, and each text output ends with a comment line naming the config hash
-and tool version. Every numeric CSV grid (the fuzzy and product tables,
-``comparison.csv`` and the curves) is ``softset.grid_chunks`` text, rendered
-one block of rows at a time while it is written to ``<name>.tmp``: at n = 1000
-with 432 product columns a run's traced peak allocation is about 16 MB
-(Python 3.11, numpy 2.4). The temps are renamed only once all are complete.
-If anything raises, they and any renamed outputs are deleted, so a failing
-run leaves no partial outputs.
+and tool version. Every output is UTF-8 bytes from the moment it is rendered:
+the small texts are encoded once, and every numeric CSV grid (the fuzzy and
+product tables, ``comparison.csv`` and the curves) is ``softset.grid_chunks``
+bytes, rendered one block of rows at a time while it is written to
+``<name>.tmp``, with no decoding or re-encoding on the way: at n = 1000 with
+432 product columns a run's traced peak allocation is about 10 MB (Python
+3.11, numpy 2.4). The temps are renamed only once all are complete. If
+anything raises, they and any renamed outputs are deleted, so a failing run
+leaves no partial outputs.
 
 The scored product table has two possible sources. "computed" rebuilds it
 from the variable definitions (after the optional per-variable reduction).
@@ -73,6 +75,14 @@ BUILTIN_SOURCE = "builtin-table1"
 REDUCTIONS = ("per-variable", "off")
 PRODUCT_SOURCES = ("auto", "published", "computed")
 
+# A double holds at most 17 significant digits, so more report decimals show
+# nothing more of a value of 0.1 or more, and a huge count would format
+# strings of that many characters.
+_MAX_ROUND_DIGITS = 17
+# Samples a curve may take: each costs a row in every curve file and its
+# floats in memory, so an unbounded count runs out of memory.
+_MAX_CURVE_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -102,6 +112,8 @@ class PipelineConfig:
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
         if self.round_digits < 0:
             raise ConfigError(f"round digits must be non-negative, got {self.round_digits}")
+        if self.round_digits > _MAX_ROUND_DIGITS:
+            raise ConfigError(f"round digits must be at most {_MAX_ROUND_DIGITS}, got {self.round_digits}")
 
     def semantic_dict(self) -> dict:
         """Config as a plain dict, excluding the output location.
@@ -161,8 +173,8 @@ def _prepare_out_dir(out_dir: str | os.PathLike) -> Path:
     return out
 
 
-def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[str]]]) -> dict[str, Path]:
-    """Write each output's text chunks to ``<name>.tmp``, then rename every temp.
+def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[bytes]]]) -> dict[str, Path]:
+    """Write each output's UTF-8 chunks to ``<name>.tmp`` as they are, then rename every temp.
 
     Renaming starts only after every temp is complete. If anything raises,
     rendering or writing included, the temps and any outputs already renamed
@@ -174,7 +186,7 @@ def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[str]]]) -
     try:
         for name, chunks in outputs:
             tmps[name] = out_dir / f"{name}.tmp"
-            with open(tmps[name], "w", encoding="utf-8", newline="\n") as fh:
+            with open(tmps[name], "wb") as fh:
                 fh.writelines(chunks)
         for name, tmp in tmps.items():
             os.replace(tmp, out_dir / name)
@@ -190,7 +202,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     """Execute the configured pipeline and write all outputs atomically."""
     cfg.validate()
     config_hash = cfg.hash()
-    footer = f"# config={config_hash} version={__version__}\n"
+    footer = f"# config={config_hash} version={__version__}\n".encode()
     out_dir = _prepare_out_dir(cfg.out_dir)
 
     # Ingest the columns the variables name, and fuzzify.
@@ -253,23 +265,24 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         f"[source: {source_used}, combiner: {cfg.combiner}, mode: {cfg.mode}, "
         f"threshold: {cfg.threshold:g}]\n"
     )
+    texts = {
+        "errata.csv": "variable,object,parameter,printed,computed,delta\n"
+        + "".join(
+            ",".join(map(csv_field, (var, c.object_id, c.parameter)))
+            + f",{c.printed:.6f},{c.computed:.6f},{c.delta:.6f}\n"
+            for var, c in errata
+        ),
+        "reduction.txt": "\n".join(reduction_lines) + "\n",
+        "scores.csv": report_to_csv(report, labels),
+        "report.txt": header + format_report_text(report, cfg.round_digits),
+    }
     outputs = {
         **{f"fuzzy_{spec.name}.csv": table_chunks(s, decimals=6) for spec, s in zip(specs, var_sets)},
-        "errata.csv": [
-            "variable,object,parameter,printed,computed,delta\n",
-            *(
-                ",".join(map(csv_field, (var, c.object_id, c.parameter)))
-                + f",{c.printed:.6f},{c.computed:.6f},{c.delta:.6f}\n"
-                for var, c in errata
-            ),
-        ],
-        "reduction.txt": ["\n".join(reduction_lines) + "\n"],
         "product.csv": table_chunks(prod, decimals=6),
         "comparison.csv": grid_chunks(
             ("object", *table.universe), table.universe, table.counts, number_format(table.mode), table.levels
         ),
-        "scores.csv": [report_to_csv(report, labels)],
-        "report.txt": [header, format_report_text(report, cfg.round_digits)],
+        **{name: [text.encode()] for name, text in texts.items()},
     }
     outputs = {name: chain(chunks, (footer,)) for name, chunks in outputs.items()}
     manifest = {
@@ -282,7 +295,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
         "config_hash": config_hash,
         "version": __version__,
     }
-    outputs["manifest.json"] = [json.dumps(manifest, indent=2, ensure_ascii=False) + "\n"]
+    outputs["manifest.json"] = [(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode()]
 
     try:
         files = _atomic_write(out_dir, sorted(outputs.items()))
@@ -305,6 +318,8 @@ def emit_curves(
     """
     if samples_per_curve < 2:
         raise ConfigError(f"samples per curve must be at least 2, got {samples_per_curve}")
+    if samples_per_curve > _MAX_CURVE_SAMPLES:
+        raise ConfigError(f"samples per curve must be at most {_MAX_CURVE_SAMPLES}, got {samples_per_curve}")
     if specs is None:
         specs = default_variable_specs()
     out = _prepare_out_dir(out_dir)

@@ -203,7 +203,8 @@ def restrict(s: FuzzySoftSet, keep: Iterable[str]) -> FuzzySoftSet:
 
 
 # Cells rendered at once. It bounds the block's temporaries (its gathered
-# bytes and its text), which would otherwise raise peak RSS.
+# bytes and those bytes without their padding), which would otherwise raise
+# peak RSS.
 _FORMAT_BLOCK_CELLS = 1 << 12
 
 # Characters that make csv_field quote a cell.
@@ -234,12 +235,13 @@ def _cell_texts(texts: Iterable[str]) -> np.ndarray:
     return _padded([b"," + t.encode() for t in texts])
 
 
-def _block_text(heads: list[str], cells: np.ndarray, index: np.ndarray) -> str:
-    """The text of a block of rows: each row's head, its cells' texts
+def _block_text(heads: list[str], cells: np.ndarray, index: np.ndarray) -> bytes:
+    """The UTF-8 text of a block of rows: each row's head, its cells' texts
     ``cells[index[row]]`` (see ``_cell_texts``), and a line feed.
 
     Every byte of the block is gathered into one fixed-width array and the
-    padding is dropped, so no Python string exists per cell or per row.
+    padding is dropped, so no Python string exists per cell or per row, and
+    the block is never decoded: it goes to disk as it is.
     """
     lead = _padded([h.encode() for h in heads])
     width = lead.itemsize
@@ -249,15 +251,14 @@ def _block_text(heads: list[str], cells: np.ndarray, index: np.ndarray) -> str:
     # RSS about 5 MB higher
     raw[:, width:-1].view(cells.dtype)[...] = np.take(cells, index)
     raw[:, -1] = ord("\n")
-    # every text is whole UTF-8, so the decoder's only errors are the padding
-    return str(raw, "utf-8", "ignore")
+    return raw.tobytes().replace(b"\xff", b"")
 
 
 def _text_blocks(
     ids: Iterable[str], grid: np.ndarray, fmt: Callable, levels: Levels | None = None
-) -> Iterator[str]:
-    """CSV rows of a 2-D numeric array, each led by its ID, one chunk per
-    block of at most ``_FORMAT_BLOCK_CELLS`` cells.
+) -> Iterator[bytes]:
+    """UTF-8 CSV rows of a 2-D numeric array, each led by its ID, one chunk
+    per block of at most ``_FORMAT_BLOCK_CELLS`` cells.
 
     A row is ``csv_field(id)``, then ``fmt(value)`` of each cell, joined by
     commas; formatted numbers need no quoting. With no value columns an empty
@@ -300,18 +301,18 @@ def _text_blocks(
 
 def grid_chunks(
     header: Sequence[str], ids: Iterable[str], grid: np.ndarray, fmt: Callable, levels: Levels | None = None
-) -> Iterator[str]:
-    """CSV text of a grid with one ID per row: the header line, then one chunk per row block.
+) -> Iterator[bytes]:
+    """UTF-8 CSV text of a grid with one ID per row: the header line, then one chunk per row block.
 
     Header cells and IDs go through ``csv_field``, cells through their levels'
     texts (see ``_text_blocks``). Only one block's text exists at a time.
     """
-    yield ",".join(map(csv_field, header)) + "\n"
+    yield (",".join(map(csv_field, header)) + "\n").encode()
     yield from _text_blocks(ids, grid, fmt, levels)
 
 
-def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[str]:
-    """The text of ``to_table(s, decimals)`` as the header line and then one chunk per row block."""
+def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[bytes]:
+    """The UTF-8 text of ``to_table(s, decimals)``: the header line, then one chunk per row block."""
     fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
     # a generator, so s.levels is read only once its file is written
     yield from grid_chunks(("object", *s.parameters), s.universe, s.degrees, fmt, s.levels)
@@ -324,7 +325,7 @@ def to_table(s: FuzzySoftSet, decimals: int | None = None) -> str:
     ``from_table(to_table(s)) == s`` exactly. Pass ``decimals=6`` for the
     export format.
     """
-    return "".join(table_chunks(s, decimals))
+    return b"".join(table_chunks(s, decimals)).decode()
 
 
 def from_table(text: str) -> FuzzySoftSet:

@@ -1,6 +1,9 @@
 import csv
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -427,6 +430,41 @@ def test_curves_quote_codes_into_a_rectangular_csv(tmp_path):
 
 def test_curves_single_sample_exits_1(tmp_path):
     assert run_cli("curves", "--out", str(tmp_path / "c"), "--samples", "1") == 1
+
+
+def test_curves_over_a_million_samples_exit_1(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run_cli("curves", "--out", str(out), "--samples", str(10**6 + 1)) == 1
+    assert "samples per curve must be at most 1000000" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
+def test_round_is_capped_at_17_digits(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--mode", "difference", "--round", "17") == 0
+    assert run_cli("run", "--out", str(tmp_path / "o18"), "--mode", "difference", "--round", "18") == 1
+    assert "round digits must be at most 17, got 18" in capsys.readouterr().err
+    assert _empty_or_absent(tmp_path / "o18")
+    # a difference score printed to 17 decimals
+    assert any(len(cell.rpartition(".")[2]) == 17 for cell in (out / "report.txt").read_text("utf-8").split())
+
+
+def _cli_in_ascii_terminal(*argv):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "fuzzysoft.cli", *argv], env=env, capture_output=True, timeout=120)
+
+
+def test_stdout_that_cannot_encode_an_id_or_path_escapes_it(tmp_path):
+    done = _cli_in_ascii_terminal("verify")
+    recorded = (Path(__file__).parent / "data" / "verify.txt").read_text("utf-8")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == recorded.encode("ascii", "backslashreplace")
+    out = tmp_path / "\xf6"
+    done = _cli_in_ascii_terminal("run", "--out", str(out))
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode("ascii").count("\\xf6") == 12 and len(list(out.iterdir())) == 12
 
 
 def test_verify_exits_clean(capsys):

@@ -62,6 +62,26 @@ def _dense_count(d):
     return (d[:, None, :] >= d[None, :, :] - COMPARISON_EPSILON).sum(axis=2)
 
 
+@pytest.mark.parametrize("m, dtype", [(32766, np.int16), (32767, np.int32)])
+def test_count_table_is_held_in_its_level_code_dtype(m, dtype):
+    degrees = np.random.default_rng(m).random((2, m))
+    table = comparison_table(_soft_set(degrees), "count")
+    want = _dense_count(degrees)
+    assert table.counts.dtype == dtype
+    assert np.array_equal(table.counts, want)
+    report = scores(table)
+    # the row sums pass 2**15: summed in int16 they would wrap
+    assert report.row_sums.dtype == report.column_sums.dtype == np.int64
+    assert report.row_sums.tolist() == want.sum(axis=1).tolist()
+    assert report.column_sums.tolist() == want.sum(axis=0).tolist()
+
+
+def test_scores_of_unsigned_counts_can_be_negative():
+    counts = np.array([[2, 0], [2, 2]], dtype=np.uint8)
+    table = scoring.ComparisonTable(("a", "b"), counts, "count", parameter_count=2)
+    assert scores(table).scores.tolist() == [-2, 2]
+
+
 def _dense_difference(d):
     return (d[:, None, :] - d[None, :, :]).sum(axis=2)
 

@@ -333,7 +333,7 @@ def test_rows_keep_ids_with_nul_and_non_ascii_text():
     s = FuzzySoftSet(ids, ("p", "q"), np.array([[0.5, 1.0], [0.0, -0.0], [0.25, 0.5], [1.0, 0.0]]))
     rows = to_table(s).splitlines()[1:]
     assert rows == ["a\x00b,0.5,1.0", "\x00,0.0,-0.0", '"é,ü",0.25,0.5', "plain\x00,1.0,0.0"]
-    counts = "".join(grid_chunks(("object", "c"), ids, np.array([[3], [0], [12], [7]]), str))
+    counts = b"".join(grid_chunks(("object", "c"), ids, np.array([[3], [0], [12], [7]]), str)).decode()
     assert counts.splitlines()[1:] == ["a\x00b,3", "\x00,0", '"é,ü",12', "plain\x00,7"]
 
 
@@ -352,7 +352,28 @@ def _grid_text(grid, fmt, per_cell_fmt=None, levels=None):
     ids = [f"r{i}" for i in range(grid.shape[0])]
     header = ["object", *(f"c{j}" for j in range(grid.shape[1]))]
     rows = [header, *([oid, *map(per_cell_fmt or fmt, row.tolist())] for oid, row in zip(ids, grid))]
-    return "".join(grid_chunks(header, ids, grid, fmt, levels)), "".join(",".join(row) + "\n" for row in rows)
+    got = b"".join(grid_chunks(header, ids, grid, fmt, levels)).decode()
+    return got, "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("block_cells", [1, 6, 1 << 14])
+def test_grid_chunks_are_the_per_cell_text_in_utf8(monkeypatch, block_cells):
+    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    ids = ("a\x00b", "é,ü", f"{MU}1", "\x00", f"{MU}10")
+    header = ("object", "p", "é", MU)
+    # repr gives level texts of unequal width: 0.5 against 0.30000000000000004
+    grid = np.array(
+        [[0.5, -0.0, 0.1 + 0.2], [1.0, 0.0, 5e-324], [-0.0, 1 / 3, 0.5], [0.25, 1.0, -0.0], [0.0, 0.0, 1.0]]
+    )
+    rows = [header, *([oid, *map(repr, row)] for oid, row in zip(ids, grid.tolist()))]
+    want = "".join(",".join(map(csv_field, row)) + "\n" for row in rows).encode("utf-8")
+    s = FuzzySoftSet(ids, header[1:], grid)
+    blocks = -(-len(ids) // max(1, block_cells // len(s.parameters)))
+    # each block's own levels, and the soft set's levels
+    for chunks in (list(grid_chunks(header, ids, grid, repr)), list(softset.table_chunks(s))):
+        assert len(chunks) == 1 + blocks
+        assert all(type(chunk) is bytes and b"\xff" not in chunk for chunk in chunks)
+        assert b"".join(chunks) == want
 
 
 @pytest.mark.parametrize("block_cells", [1, 10, 1 << 14])
