@@ -93,7 +93,7 @@ def load_csv(
         specs = default_variable_specs()
     columns = list(dict.fromkeys(s.column for s in specs))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not part of the header
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -155,6 +155,10 @@ def _product_source(cfg: PipelineConfig) -> str:
         raise ConfigError(
             "product source 'published' requires the built-in cohort and default variables"
         )
+    if cfg.product_source == "published" and cfg.combiner != "max":
+        raise ConfigError(
+            f"product source 'published' is the study's max-combined table; it cannot use combiner {cfg.combiner!r}"
+        )
     if cfg.product_source != "auto":
         return cfg.product_source
     study_faithful = builtin_inputs and cfg.combiner == "max" and cfg.mode == "count"

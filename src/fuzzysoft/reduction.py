@@ -14,6 +14,8 @@ the whole ranking by choice value, and it is not implemented here.
 Choice values are added left to right in parameter order,
 ``((d_0 + d_1) + d_2) + ...``, both in ``choice_values`` and for every subset
 the search visits, so the full parameter set always preserves its own target.
+The search visits all 2^m subsets but holds at most one block of sums per
+parameter, O(n * m) floats.
 """
 from __future__ import annotations
 
@@ -40,8 +42,6 @@ DEFAULT_PARAMETER_CAP = 20
 
 # Cells (objects x subsets) in one block of subset sums; 256 KB of float64.
 _BLOCK_CELLS = 1 << 15
-# Cells of subset sums held at once (table, depth-first stack, scratch); 2 MB.
-_HELD_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,7 @@ def optimal_objects(s: FuzzySoftSet) -> frozenset[str]:
     return frozenset(s.universe[i] for i in np.flatnonzero(f >= best - TIE_EPSILON))
 
 
-def _subset_sums(
-    degrees: np.ndarray, block_cells: int = _BLOCK_CELLS, held_cells: int = _HELD_CELLS
-) -> Iterator[tuple[int, np.ndarray]]:
+def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterator[tuple[int, np.ndarray]]:
     """Choice values of every parameter subset, one block of subsets at a time.
 
     Subset ``mask`` holds parameter ``j`` iff bit ``j`` is set. Yields
@@ -88,15 +86,10 @@ def _subset_sums(
     The low parameters' sums are a prefix table built by doubling, one block
     of at most ``block_cells`` cells. A high mask's block is its parent's
     block plus the column of its highest bit, where the parent is the mask
-    without that bit: the same left-to-right order, at the cost of one
-    broadcast fill and one flat add per block. The high masks are visited
-    depth first, so a parent's block is ready before its children's, and
-    each block stays on a stack until its subtree is done. The table, the
-    stack and one scratch block hold at most ``held_cells`` cells (a budget
-    too small for the table and the scratch block still gets them). A mask
-    deeper than the stack is computed in the scratch block: from its parent
-    there when the parent was the block just yielded, and otherwise from
-    its ancestor at the held depth, adding its remaining columns one by one.
+    without that bit: one broadcast fill and one flat add per block. The high
+    masks are visited depth first, and each depth has one block, so a
+    parent's block is kept until its subtree is done: ``m - low + 1`` blocks
+    in all, counting the table.
     """
     n, m = degrees.shape
     low = min(m, max(1, block_cells // n).bit_length() - 1)
@@ -105,45 +98,16 @@ def _subset_sums(
         np.add(table[:, : 1 << b], degrees[:, b, None], out=table[:, 1 << b : 2 << b])
     yield 0, table
     top = m - low
-    if not top:
-        return
-    # Blocks past the table: all of the stack, or the held stack and the scratch block.
-    room = held_cells // table.size - 1
-    held = top if room >= top else max(0, room - 1)
-    stack = [table] + [np.empty_like(table) for _ in range(held)]
-    scratch = np.empty_like(table) if held < top else None
-    bits = [degrees[:, low + b, None] for b in range(top)]
-    # high masks depth first: a node's children add each bit above its highest
-    high, depth, last, grew = 1, 1, 0, True
-    while True:
-        if depth <= held:
-            block = stack[depth]
-            np.copyto(block, bits[last])
-            np.add(block, stack[depth - 1], out=block)
-        elif grew and depth > held + 1:  # the parent was the last block yielded
-            block += bits[last]
-        else:
-            block = scratch
-            rest = [b for b in range(last + 1) if high >> b & 1]
-            np.copyto(block, bits[rest[held]])
-            np.add(block, stack[held], out=block)
-            for b in rest[held + 1 :]:
-                block += bits[b]
+    stack = [table] + [np.empty_like(table) for _ in range(top)]
+    # (high mask, its highest bit, depth); a mask's children add each bit above its highest
+    todo = [(1 << b, b, 1) for b in reversed(range(top))]
+    while todo:
+        high, last, depth = todo.pop()
+        block = stack[depth]
+        np.copyto(block, degrees[:, low + last, None])
+        np.add(block, stack[depth - 1], out=block)
         yield high << low, block
-        grew = last + 1 < top
-        if grew:  # descend: add the next bit up
-            last += 1
-            high |= 1 << last
-            depth += 1
-            continue
-        # a leaf: drop its top bit, then move the new top bit up by one
-        high ^= 1 << last
-        if not high:
-            return
-        last = high.bit_length() - 1
-        high ^= 3 << last
-        last += 1
-        depth -= 1
+        todo.extend((high | 1 << b, b, depth + 1) for b in reversed(range(last + 1, top)))
 
 
 def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[ReductionResult]:
@@ -172,7 +136,8 @@ def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[R
     preserves = np.zeros(1 << m, dtype=bool)
     for first, sums in _subset_sums(degrees):
         rest = sums[k:].max(axis=0, initial=-np.inf)
-        threshold = np.maximum(sums[:k].max(axis=0), rest) - TIE_EPSILON
+        # where another object reaches the target's best, rest < threshold fails either way
+        threshold = sums[:k].max(axis=0) - TIE_EPSILON
         ok = (sums[:k].min(axis=0) >= threshold) & (rest < threshold)
         preserves[first : first + sums.shape[1]] = ok
     preserves[0] = False

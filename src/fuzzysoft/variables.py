@@ -345,7 +345,7 @@ def specs_from_json(text: str) -> list[VariableSpec]:
 def load_variable_specs(path) -> list[VariableSpec]:
     """Load variable specs from a JSON config file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not JSON
             return specs_from_json(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read variable spec config {path}: {exc}") from exc

@@ -99,6 +99,14 @@ def test_published_product_requires_builtin_data(tmp_path, csv_116):
     assert run_cli("run", "--out", str(out), "--data", str(csv_116), "--product-source", "published") == 1
 
 
+@pytest.mark.parametrize("combiner", [c for c in COMBINERS if c != "max"])
+def test_published_product_requires_the_max_combiner(tmp_path, capsys, combiner):
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--product-source", "published", "--combiner", combiner) == 1
+    assert "max-combined" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
 def test_csv_data_source_runs_computed(tmp_path, csv_116, capsys):
     out = tmp_path / "out"
     assert run_cli("run", "--out", str(out), "--data", str(csv_116)) == 0
@@ -374,6 +382,19 @@ def test_spec_flag_round_trip(tmp_path, capsys):
     assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["product_source_used"] == "computed"
+
+
+def test_spec_with_a_byte_order_mark_runs_like_the_spec(tmp_path):
+    text = specs_to_json(default_variable_specs())
+    scores = []
+    for name, data in [("plain.json", text.encode("utf-8")), ("bom.json", b"\xef\xbb\xbf" + text.encode("utf-8"))]:
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / name.replace(".json", "")
+        assert run_cli("run", "--out", str(out), "--spec", str(tmp_path / name)) == 0
+        lines = (out / "scores.csv").read_bytes().splitlines(keepends=True)
+        assert lines[-1].startswith(b"# config=")
+        scores.append(lines[:-1])  # the footer hashes the config, spec path included
+    assert scores[0] == scores[1]
 
 
 def test_curves_defaults(tmp_path):

@@ -74,6 +74,16 @@ def test_builtin_cohort_is_the_file_rows_at_table1_positions(csv_116):
     assert builtin.labels == tuple(full.labels[i] for i in rows)
 
 
+def test_byte_order_mark_is_not_part_of_the_header(tmp_path, csv_116):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + csv_116.read_bytes())
+    bom, plain = load_csv(path), load_csv(csv_116)
+    assert bom.ids == plain.ids and bom.labels == plain.labels
+    assert list(bom.columns) == list(plain.columns)
+    for col in plain.columns:
+        assert bom.columns[col].tobytes() == plain.columns[col].tobytes(), col
+
+
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")

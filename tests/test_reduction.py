@@ -13,7 +13,7 @@ from fuzzysoft import (
     optimal_objects,
     restrict,
 )
-from fuzzysoft.reduction import TIE_EPSILON, _subset_sums
+from fuzzysoft.reduction import _BLOCK_CELLS, TIE_EPSILON, _subset_sums
 
 MU = "μ_"
 
@@ -250,17 +250,17 @@ def test_reference_agrees_on_the_cohort(computed_sets, published_sets):
         assert find_reductions(s) == per_subset_reductions(s)
 
 
-def _assert_bitwise_per_subset_sums(degrees, *budget):
+def _assert_bitwise_per_subset_sums(degrees, block_cells):
     n, m = degrees.shape
     yielded = np.zeros(1 << m, dtype=int)
-    for first, sums in _subset_sums(degrees, *budget):
+    for first, sums in _subset_sums(degrees, block_cells):
         assert sums.shape[0] == n
         for k in range(sums.shape[1]):
             combo = [j for j in range(m) if (first + k) >> j & 1]
             want = degrees[:, combo].sum(axis=1) if combo else np.zeros(n)
-            assert sums[:, k].tobytes() == want.tobytes(), (first + k, budget)
+            assert sums[:, k].tobytes() == want.tobytes(), (first + k, block_cells)
         yielded[first : first + sums.shape[1]] += 1
-    assert (yielded == 1).all(), budget  # every mask exactly once
+    assert (yielded == 1).all(), block_cells  # every mask exactly once
 
 
 @pytest.mark.parametrize(
@@ -270,14 +270,22 @@ def _assert_bitwise_per_subset_sums(degrees, *budget):
 def test_subset_sums_are_bitwise_the_per_subset_sums(n, m, block_cells):
     rng = np.random.default_rng(n * 100 + m)
     for degrees in (rng.random((n, m)), np.asfortranarray(rng.random((n, m)).round(2))):
-        if block_cells is None:  # the default budget: (116, 14) fills the held stack, (1000, 16) needs the scratch block
-            _assert_bitwise_per_subset_sums(degrees)
-            continue
-        _assert_bitwise_per_subset_sums(degrees, block_cells)
-        # budgets that hold the table and a stack 0, 1 or 2 blocks deep, computing deeper masks in a scratch block
-        table_cells = next(_subset_sums(degrees, block_cells))[1].size
-        for held in range(3):
-            _assert_bitwise_per_subset_sums(degrees, block_cells, table_cells * (held + 2))
+        # None is the default block size: a table and a block per depth, 7 blocks at (116, 14) and 12 at (1000, 16)
+        _assert_bitwise_per_subset_sums(degrees, _BLOCK_CELLS if block_cells is None else block_cells)
+
+
+@pytest.mark.parametrize("n,m,block_cells", [(116, 14, _BLOCK_CELLS), (1000, 16, _BLOCK_CELLS), (116, 17, _BLOCK_CELLS), (3, 7, 8)])
+def test_subset_sums_keep_one_buffer_per_depth(n, m, block_cells):
+    degrees = np.random.default_rng(n + m).random((n, m))
+    masks, buffers, low = [], set(), None
+    for first, sums in _subset_sums(degrees, block_cells):
+        if low is None:  # the prefix table over the low parameters comes first
+            low = sums.shape[1].bit_length() - 1
+        masks.extend(range(first, first + sums.shape[1]))
+        buffers.add(sums.__array_interface__["data"][0])
+    assert sorted(masks) == list(range(1 << m))
+    # the table and one block for each depth of the high masks
+    assert len(buffers) == m - low + 1, (len(buffers), m - low + 1)
 
 
 def test_full_set_preserves_its_own_optimal_objects_near_the_tie_guard():
@@ -315,7 +323,7 @@ def test_search_memory_stays_in_blocks():
 
 
 def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
-    # m = 17 at n = 116 reaches both the held stack and the scratch block
+    # m = 17 at n = 116 walks high masks 9 deep, one block per depth
     s = _soft_set(np.random.default_rng(4).random((116, 17)).round(2))
     find_reductions(s)
     gc.collect()
@@ -330,7 +338,7 @@ def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
     finally:
         tracemalloc.stop()
         gc.enable()
-    # One block of sums is 232 KB and a search holds seven, so blocks kept
+    # One block of sums is 232 KB and a search holds ten, so blocks kept
     # alive by a reference cycle would show in MB. What remains is small
     # objects on CPython's free lists, which only a collection empties.
     assert kept < 2**18, kept
