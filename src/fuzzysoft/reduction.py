@@ -14,8 +14,15 @@ the whole ranking by choice value, and it is not implemented here.
 Choice values are added left to right in parameter order,
 ``((d_0 + d_1) + d_2) + ...``, both in ``choice_values`` and for every subset
 the search visits, so the full parameter set always preserves its own target.
-The search visits all 2^m subsets but holds at most one block of sums per
-parameter, O(n * m) floats.
+The search decides all 2^m subsets, but it sums each group of rows that share
+a support (the parameters where a row's degree is not zero) over the subsets
+of that support only. With groups g of |g| rows on s_g parameters, it costs
+O(sum |g| * 2^s_g + G * 2^m) for G groups; fuzzified rows, non-zero on a few
+neighbouring partitions, make few small groups. Besides at most one block
+of sums per parameter, O(n * m) floats, it holds one 2^m float threshold and
+the 2^m preserve flags (8 MB and 1 MB at the cap of m = 20), the table of one
+group summed on its own at a time (at most 2^(m-1) floats), and the min
+tables of the target groups summed on their own.
 """
 from __future__ import annotations
 
@@ -110,6 +117,113 @@ def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterat
         todo.extend((high | 1 << b, b, depth + 1) for b in reversed(range(last + 1, top)))
 
 
+def _run_shapes(support: int, m: int) -> tuple[list[int], list[int]]:
+    """Shapes that broadcast a table over the sub-masks of ``support`` onto all 2^m masks.
+
+    The first shape splits the mask axis into one axis per run of neighbouring
+    bits that are all in ``support`` or all out of it, highest bits first. The
+    second is the same with each non-support run of length 1, so a table
+    indexed by sub-mask (``support``'s bits packed in order) takes that shape
+    and lines each mask up with its intersection with ``support``.
+    """
+    full: list[int] = []
+    part: list[int] = []
+    b = m
+    while b:
+        inside = support >> (b - 1) & 1
+        run = 1
+        while run < b and (support >> (b - 1 - run) & 1) == inside:
+            run += 1
+        full.append(1 << run)
+        part.append(1 << run if inside else 1)
+        b -= run
+    return full, part
+
+
+def _spread(degrees: np.ndarray, support: int, with_min: bool) -> tuple[list[int], list[np.ndarray]]:
+    """The rows' max, and if asked min, choice value for every subset of ``support``.
+
+    Returns the first shape of ``_run_shapes(support, m)`` and the tables in
+    the second, ready to broadcast onto all 2^m masks.
+    """
+    m = degrees.shape[1]
+    cols = degrees[:, [j for j in range(m) if support >> j & 1]]
+    tables = [np.empty(1 << cols.shape[1]) for _ in range(1 + with_min)]
+    for first, sums in _subset_sums(cols):
+        stop = first + sums.shape[1]
+        sums.max(axis=0, out=tables[0][first:stop])
+        if with_min:
+            sums.min(axis=0, out=tables[1][first:stop])
+    shape, part = _run_shapes(support, m)
+    return shape, [table.reshape(part) for table in tables]
+
+
+def _preserving_masks(degrees: np.ndarray, in_target: np.ndarray) -> np.ndarray:
+    """Flags, by mask, of the parameter subsets whose optimal rows are exactly the target rows.
+
+    A row's sum over a subset is bit for bit its sum over the subset's
+    intersection with the row's support, the parameters where its degree is
+    not zero: sums start at +0.0 and never become -0.0, and x + (+-0.0) == x
+    for every other x. So rows are grouped by support and by side (in the
+    target or not), and ``_spread`` sums a group over its support only,
+    reduces it to a max (and on the target side a min) per sub-mask, and
+    shapes that to broadcast onto all 2^m masks. A group that would not save
+    work that way joins its side's full-support group, which is summed over
+    every parameter and read block by block.
+
+    Each mask's threshold is final before any row is compared with it: the
+    target groups summed on their own fold their max into it first and keep
+    their min per sub-mask until then, and the full-support target group
+    finishes it block by block. No 2^m table of sums is kept for the other
+    rows.
+    """
+    n, m = degrees.shape
+    supports = (degrees != 0) @ (1 << np.arange(m))
+    keys, group_of, sizes = np.unique(supports << 1 | in_target, return_inverse=True, return_counts=True)
+    alone: dict[bool, list[tuple[int, np.ndarray]]] = {True: [], False: []}
+    wide = np.ones(n, dtype=bool)
+    for g, (key, size) in enumerate(zip(keys.tolist(), sizes.tolist())):
+        support = key >> 1
+        # summed on its own, a group costs |g| * 2^s sums and one pass over the 2^m masks
+        if size * ((1 << m) - (1 << support.bit_count())) > 1 << m:
+            rows = group_of == g
+            alone[bool(key & 1)].append((support, rows))
+            wide &= ~rows
+
+    threshold = np.full(1 << m, -np.inf)
+    preserves = np.ones(1 << m, dtype=bool)
+    lows = []
+    for support, rows in alone[True]:
+        shape, (hi, lo) = _spread(degrees[rows], support, with_min=True)
+        view = threshold.reshape(shape)
+        np.maximum(view, hi, out=view)
+        lows.append((shape, lo))
+        del hi  # one group's max table at a time
+    if (wide & in_target).any():
+        for first, sums in _subset_sums(degrees[wide & in_target]):
+            stop = first + sums.shape[1]
+            block = threshold[first:stop]
+            np.maximum(block, sums.max(axis=0), out=block)
+            block -= TIE_EPSILON
+            preserves[first:stop] = sums.min(axis=0) >= block
+    else:
+        threshold -= TIE_EPSILON
+    for shape, lo in lows:
+        view = preserves.reshape(shape)
+        view &= lo >= threshold.reshape(shape)
+    # where another object reaches the target's best, hi < threshold fails either way
+    for support, rows in alone[False]:
+        shape, (hi,) = _spread(degrees[rows], support, with_min=False)
+        view = preserves.reshape(shape)
+        view &= hi < threshold.reshape(shape)
+        del hi
+    if (wide & ~in_target).any():
+        for first, sums in _subset_sums(degrees[wide & ~in_target]):
+            stop = first + sums.shape[1]
+            preserves[first:stop] &= sums.max(axis=0) < threshold[first:stop]
+    return preserves
+
+
 def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[ReductionResult]:
     """All minimal parameter subsets that preserve the optimal-object set.
 
@@ -117,8 +231,8 @@ def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[R
     no proper non-empty subset of B does. The result is exactly the minimal
     family, ordered by size and then by parameter position.
 
-    Every subset's choice values come from ``_subset_sums``; a subset is
-    minimal when it preserves the optimal set and none of its strict subsets
+    ``_preserving_masks`` flags the subsets that preserve the optimal set; a
+    subset is minimal when it preserves it and none of its strict subsets
     does. The search is exponential in the parameter count; ``cap`` refuses
     inputs that are too wide.
     """
@@ -128,18 +242,7 @@ def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[R
             f"refusing to enumerate reductions over {m} parameters (cap is {cap})"
         )
     target = optimal_objects(s)
-    # Objects are summed independently, so putting the target objects first
-    # splits every block of sums into two row slices.
-    in_target = np.array([oid in target for oid in s.universe])
-    k = int(in_target.sum())
-    degrees = np.concatenate([s.degrees[in_target], s.degrees[~in_target]])
-    preserves = np.zeros(1 << m, dtype=bool)
-    for first, sums in _subset_sums(degrees):
-        rest = sums[k:].max(axis=0, initial=-np.inf)
-        # where another object reaches the target's best, rest < threshold fails either way
-        threshold = sums[:k].max(axis=0) - TIE_EPSILON
-        ok = (sums[:k].min(axis=0) >= threshold) & (rest < threshold)
-        preserves[first : first + sums.shape[1]] = ok
+    preserves = _preserving_masks(s.degrees, np.array([oid in target for oid in s.universe]))
     preserves[0] = False
     # covered[mask]: some subset of mask (itself included) preserves.
     covered = preserves.copy()

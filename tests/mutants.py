@@ -1,0 +1,107 @@
+"""Mutation check: every mutant of the package must fail the tests named for it.
+
+Usage, from the root of a checkout:
+
+    python tests/mutants.py
+
+Each entry of ``MUTANTS`` is (file under ``src/fuzzysoft``, old text, new
+text, test files). For each entry the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, replaces the old text, which must
+occur exactly once, by the new text, and runs pytest on the named test files
+only. A mutant that leaves them passing survives. The unmutated copy must pass
+every named file first. The script prints one line per mutant and exits 1 if
+any mutant survives or the unmutated copy fails.
+
+The suite runs this outside the tier-1 tests: each mutant reruns whole test
+files. Add an entry for each fast path or tolerance whose tests should catch a
+wrong edit.
+"""
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+REDUCTION = ("tests/test_reduction.py",)
+SCORING = ("tests/test_scoring.py",)
+
+MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
+    # the documented tolerances, pinned by cases with a 5e-9 gap
+    ("reduction.py", "TIE_EPSILON = 1e-9", "TIE_EPSILON = 1e-8", REDUCTION),
+    ("scoring.py", "COMPARISON_EPSILON = 1e-9", "COMPARISON_EPSILON = 1e-8", SCORING),
+    # the reduct search's row groups: target and other rows must not share a group
+    ("reduction.py", "np.unique(supports << 1 | in_target,", "np.unique(supports << 1,", REDUCTION),
+    # the threshold keeps its tie guard, with and without a full-support target group
+    ("reduction.py", "block -= TIE_EPSILON", "block -= 0.0", REDUCTION),
+    ("reduction.py", "threshold -= TIE_EPSILON", "threshold -= 0.0", REDUCTION),
+    # tie comparisons stay inclusive on the target side and strict on the other
+    ("reduction.py", "f >= best - TIE_EPSILON", "f > best - TIE_EPSILON", REDUCTION),
+    ("reduction.py", "sums.min(axis=0) >= block", "sums.min(axis=0) > block", REDUCTION),
+    ("reduction.py", "view &= hi < threshold.reshape(shape)", "view &= hi <= threshold.reshape(shape)", REDUCTION),
+    # sums run left to right in parameter order, in choice_values and over each group's support
+    ("reduction.py", "for j in range(s.degrees.shape[1]):", "for j in reversed(range(s.degrees.shape[1])):", REDUCTION),
+    ("reduction.py", "[j for j in range(m) if support", "[j for j in reversed(range(m)) if support", REDUCTION),
+    # a row's support holds every non-zero cell
+    ("reduction.py", "supports = (degrees != 0)", "supports = (degrees > 0.25)", REDUCTION),
+    # one block per depth, reused: a fresh block per yield is caught by the buffer count
+    ("reduction.py", "block = stack[depth]", "block = np.empty_like(table)", REDUCTION),
+    # the count table's uint8 accumulator is flushed before it can overflow
+    ("scoring.py", "_FLUSH_COLUMNS = 255", "_FLUSH_COLUMNS = 256", SCORING),
+    # a leading BOM is skipped in the data CSV and in the spec JSON
+    ("ingest.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_ingest.py",)),
+    ("variables.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_cli.py",)),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(cwd: Path, tests: tuple[str, ...]) -> int:
+    # pyproject.toml puts the copy's src/ first on the path; -B writes no bytecode, which a
+    # same-size mutant restored within the same second would otherwise read back
+    command = [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=cwd, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="fuzzysoft-mutants-") as tmp:
+        work = Path(tmp)
+        _copy(work)
+        named = tuple(sorted({test for *_, tests in MUTANTS for test in tests}))
+        if _pytest(work, named) != 0:
+            print(f"the unmutated copy fails {' '.join(named)}")
+            return 1
+        survivors = 0
+        for file, old, new, tests in MUTANTS:
+            path = work / "src" / "fuzzysoft" / file
+            original = path.read_text(encoding="utf-8")
+            if original.count(old) != 1:
+                print(f"ERROR {file}: {old!r} occurs {original.count(old)} times, not once")
+                return 1
+            path.write_text(original.replace(old, new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = _pytest(work, tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            if code in (4, 5):  # usage error, no tests collected: the entry is wrong
+                print(f"ERROR {file}: pytest exit {code} on {' '.join(tests)}")
+                return 1
+            verdict = "survived" if code == 0 else "killed"
+            survivors += code == 0
+            print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {file}: {old!r} -> {new!r}")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

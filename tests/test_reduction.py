@@ -245,6 +245,97 @@ def test_search_equals_per_subset_reference_on_tied_inputs():
         assert find_reductions(s) == per_subset_reductions(s), (n, m)
 
 
+def _partition_degrees(rng, n, m):
+    """Rows shaped like fuzzy partitions, with ties that cross row supports.
+
+    Most rows are non-zero on 2-4 neighbouring parameters (quarter steps, so
+    equal sums are exact); some are all zero, some dense. Then rows are
+    copied (groups of several rows), moved to another window (equal sums over
+    another support), cut at one end (a strict subset of a support) or moved
+    by eps, eps +- 1 ulp or eps / 2, and some zero cells become -0.0.
+    """
+    degrees = np.zeros((n, m))
+    for i in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            continue
+        if kind < 0.2:
+            degrees[i] = rng.integers(0, 5, size=m) / 4
+            continue
+        width = min(m, int(rng.integers(2, 5)))
+        start = int(rng.integers(0, m - width + 1))
+        degrees[i, start : start + width] = rng.integers(1, 5, size=width) / 4
+    for _ in range(int(rng.integers(0, 2 * n + 1)) if n > 1 else 0):
+        src, dst = (int(i) for i in rng.choice(n, size=2, replace=False))
+        if rng.random() < 0.3:  # often the best row, so ties reach the optimal set
+            src = int(np.argmax(degrees.sum(axis=1)))
+        row = degrees[src].copy()
+        support = np.flatnonzero(row)
+        op = rng.integers(4)
+        if op == 1 and support.size and support[-1] + 1 < m:
+            row = np.roll(row, int(rng.integers(1, m - support[-1])))
+        elif op == 2 and support.size > 1:
+            row[support[0] if rng.random() < 0.5 else support[-1]] = 0.0
+        elif op == 3 and support.size:
+            j = int(rng.choice(support))
+            shifted = row[j] - TIE_EPSILON * rng.choice([1.0, 0.5]) if row[j] > 0.5 else row[j] + TIE_EPSILON
+            row[j] = [shifted, np.nextafter(shifted, 0.0), np.nextafter(shifted, 1.0)][int(rng.integers(3))]
+        degrees[dst] = row
+    degrees[(degrees == 0) & (rng.random((n, m)) < 0.3)] = -0.0
+    return degrees
+
+
+def test_search_equals_per_subset_reference_on_fuzzy_partition_rows():
+    rng = np.random.default_rng(1604)
+    shapes = [(1, m) for m in range(1, 8)] + [(116, 14), (60, 14), (40, 13), (200, 12)]
+    shapes += [(int(rng.integers(2, 40)), int(rng.integers(1, 11))) for _ in range(250)]
+    seen = {"targets of 2+ supports": 0, "strict sub-support": 0, "-0.0 cells": 0, "empty rows": 0, "1-row supports": 0}
+    for n, m in shapes:
+        degrees = _partition_degrees(rng, n, m)
+        s = _soft_set(degrees)
+        assert find_reductions(s) == per_subset_reductions(s), (n, m)
+        supports = [frozenset(np.flatnonzero(row).tolist()) for row in degrees]
+        target = [i for i, oid in enumerate(s.universe) if oid in optimal_objects(s)]
+        seen["targets of 2+ supports"] += len({supports[i] for i in target}) > 1
+        seen["strict sub-support"] += any(a < b for a in set(supports) for b in set(supports))
+        seen["-0.0 cells"] += bool(np.signbit(degrees).any())
+        seen["empty rows"] += frozenset() in supports
+        seen["1-row supports"] += any(supports.count(a) == 1 for a in set(supports))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_search_splits_eps_ties_across_row_supports():
+    # Rows 0 and 1 share a support, so their group's min and max decide the
+    # threshold; rows 2 and 3 each have their own support and sum to the
+    # threshold, or 1 ulp above it, or 1 ulp below it (t - 0.75 is exact).
+    threshold = 1.25 - TIE_EPSILON
+    for t2, t3 in [(threshold, np.nextafter(threshold, 0.0)), (np.nextafter(threshold, 2.0), threshold)]:
+        degrees = np.array(
+            [
+                [0.75, 0.5, 0.0, 0.0, 0.0],
+                [0.75, 0.5, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.75, t2 - 0.75, 0.0],
+                [0.0, 0.0, 0.0, 0.75, t3 - 0.75],
+            ]
+        )
+        s = _soft_set(degrees)
+        assert choice_values(s).tolist() == [1.25, 1.25, t2, t3]
+        assert optimal_objects(s) == ({"h0", "h1", "h2", "h3"} if t3 == threshold else {"h0", "h1", "h2"})
+        assert find_reductions(s) == per_subset_reductions(s), (t2, t3)
+
+
+def test_tie_epsilon_is_one_billionth():
+    # a gap of 5e-9 is a tie at 1e-8 but not at 1e-9
+    s = _soft_set(np.array([[0.5, 0.2], [0.5 - 5e-9, 0.2]]))
+    assert optimal_objects(s) == frozenset({"h0"})
+    assert [r.reduct for r in find_reductions(s)] == [("e0",)]
+    # the same gap between row pairs on two supports, each pair summed on its own
+    pair = np.array([[0.5, 0.2, 0.0, 0.0], [0.0, 0.0, 0.2, 0.5 - 5e-9]])
+    s = _soft_set(pair.repeat(2, axis=0))
+    assert optimal_objects(s) == frozenset({"h0", "h1"})
+    assert [r.reduct for r in find_reductions(s)] == [("e0",), ("e1",)]
+
+
 def test_reference_agrees_on_the_cohort(computed_sets, published_sets):
     for s in [*computed_sets.values(), *published_sets.values()]:
         assert find_reductions(s) == per_subset_reductions(s)

@@ -41,6 +41,14 @@ def test_two_object_count_table_by_hand():
     assert table.counts.tolist() == [[2, 1], [1, 2]]
 
 
+def test_comparison_epsilon_is_one_billionth():
+    # a gap of 5e-9 is a tie at 1e-8 but not at 1e-9
+    s = FuzzySoftSet(("a", "b"), ("p", "q"), np.array([[0.5, 0.25], [0.5 - 5e-9, 0.25]]))
+    table = comparison_table(s, "count")
+    assert table.counts.tolist() == [[2, 2], [1, 2]]
+    assert scores(table).scores.tolist() == [1, -1]
+
+
 def test_count_diagonal_equals_parameter_count(computed_sets):
     for s in computed_sets.values():
         table = comparison_table(s, "count")
