@@ -7,8 +7,10 @@ lists; each product cell combines the two input degrees. The classical AND
 uses min, while the case study this library reproduces applied max, so the
 combiner is always an explicit choice.
 
-Normal parameter reduction then asks: which columns can be dropped without
-changing the set of top-ranked objects?
+The parameterization reduction of Chen et al. 2005 then asks: which columns
+can be dropped without changing the set of top-ranked objects? (The stricter
+normal parameter reduction of Kong et al. 2008 keeps the whole ranking; it is
+not implemented.)
 """
 from fuzzysoft import (
     builtin_table1,

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: run, curves, verify. Exit codes:
-0 success, 1 configuration error, 2 data error, 3 internal invariant
-violation. ``verify`` additionally exits 1 when a hard fixture check fails.
+Subcommands: run, curves, verify. A command that fails exits with the
+``exit_code`` of the error type it raised (see ``fuzzysoft.errors``);
+``verify`` also exits with ``ConfigError``'s code when a hard fixture check fails.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import inspect
 import sys
 
 from . import __version__
-from .errors import ConfigError, DataError, FuzzySoftError, InternalError
+from .errors import ConfigError, DataError, FuzzySoftError
 from .pipeline import (
     BUILTIN_SOURCE, PRODUCT_SOURCES, REDUCTIONS, PipelineConfig, emit_curves, run_pipeline,
 )
@@ -20,17 +20,11 @@ from .softset import COMBINERS
 from .variables import default_variable_specs, load_variable_specs
 from .verify import verify_fixtures
 
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_INTERNAL = 3
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; bad flags are configuration errors here.
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        self.exit(ConfigError.exit_code, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,14 +86,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             report = verify_fixtures()
             sys.stdout.write(report.format(verbose=args.verbose))
-            return EXIT_OK if report.ok else EXIT_CONFIG
+            return 0 if report.ok else ConfigError.exit_code
 
         if args.command == "curves":
             specs = default_variable_specs() if args.spec is None else load_variable_specs(args.spec)
             files = emit_curves(specs, args.out, args.samples)
             for name in sorted(files):
                 print(f"wrote {files[name]}")
-            return EXIT_OK
+            return 0
 
         fields = {name: value for name, value in vars(args).items() if name != "command"}
         result = run_pipeline(PipelineConfig(**fields))
@@ -108,16 +102,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"product source: {result.product_source_used} "
               f"({result.report.parameter_count} parameters)")
         print(f"accuracy: {result.accuracy:.2f}")
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InternalError, FuzzySoftError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return 0
+    except FuzzySoftError as exc:
+        # configuration and data errors are bad input; any other is a bug
+        kind = "error" if isinstance(exc, (ConfigError, DataError)) else "internal error"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

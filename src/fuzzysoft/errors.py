@@ -1,20 +1,25 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-InternalError -> 3.
+Each type's ``exit_code`` is the code the CLI exits with when it is raised.
 """
 
 
 class FuzzySoftError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 3
+
 
 class ConfigError(FuzzySoftError):
     """Invalid configuration: bad flag values, unreadable spec files, unwritable output."""
 
+    exit_code = 1
+
 
 class DataError(FuzzySoftError):
     """Invalid input data: missing columns, unparseable cells, unknown labels."""
+
+    exit_code = 2
 
 
 class InternalError(FuzzySoftError):

@@ -114,6 +114,15 @@ class PipelineConfig:
             raise ConfigError(f"round digits must be non-negative, got {self.round_digits}")
         if self.round_digits > _MAX_ROUND_DIGITS:
             raise ConfigError(f"round digits must be at most {_MAX_ROUND_DIGITS}, got {self.round_digits}")
+        if self.product_source == "published":
+            if self.data_source != BUILTIN_SOURCE or self.spec_path is not None:
+                raise ConfigError(
+                    "product source 'published' requires the built-in cohort and default variables"
+                )
+            if self.combiner != "max":
+                raise ConfigError(
+                    f"product source 'published' is the study's max-combined table; it cannot use combiner {self.combiner!r}"
+                )
 
     def semantic_dict(self) -> dict:
         """Config as a plain dict, excluding the output location.
@@ -150,17 +159,9 @@ class RunResult:
 
 def _product_source(cfg: PipelineConfig) -> str:
     """The product source a run scores, with "auto" resolved."""
-    builtin_inputs = cfg.data_source == BUILTIN_SOURCE and cfg.spec_path is None
-    if cfg.product_source == "published" and not builtin_inputs:
-        raise ConfigError(
-            "product source 'published' requires the built-in cohort and default variables"
-        )
-    if cfg.product_source == "published" and cfg.combiner != "max":
-        raise ConfigError(
-            f"product source 'published' is the study's max-combined table; it cannot use combiner {cfg.combiner!r}"
-        )
     if cfg.product_source != "auto":
         return cfg.product_source
+    builtin_inputs = cfg.data_source == BUILTIN_SOURCE and cfg.spec_path is None
     study_faithful = builtin_inputs and cfg.combiner == "max" and cfg.mode == "count"
     return "published" if study_faithful else "computed"
 
@@ -177,13 +178,15 @@ def _prepare_out_dir(out_dir: str | os.PathLike) -> Path:
     return out
 
 
-def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[bytes]]]) -> dict[str, Path]:
+def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[bytes]]], what: str) -> dict[str, Path]:
     """Write each output's UTF-8 chunks to ``<name>.tmp`` as they are, then rename every temp.
 
     Renaming starts only after every temp is complete. If anything raises,
     rendering or writing included, the temps and any outputs already renamed
     are deleted, so a failed write leaves no partial set of outputs. Files of
-    an earlier run that were not yet replaced are left as they are.
+    an earlier run that were not yet replaced are left as they are. An
+    ``OSError`` is raised as a ``ConfigError`` saying it could not write
+    ``what``.
     """
     tmps: dict[str, Path] = {}
     files: dict[str, Path] = {}
@@ -195,9 +198,11 @@ def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[bytes]]])
         for name, tmp in tmps.items():
             os.replace(tmp, out_dir / name)
             files[name] = out_dir / name
-    except BaseException:
+    except BaseException as exc:
         for path in (*tmps.values(), *files.values()):
             path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {what} to {out_dir}: {exc}") from exc
         raise
     return files
 
@@ -301,11 +306,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     }
     outputs["manifest.json"] = [(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n").encode()]
 
-    try:
-        files = _atomic_write(out_dir, sorted(outputs.items()))
-    except OSError as exc:
-        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
-
+    files = _atomic_write(out_dir, sorted(outputs.items()), "outputs")
     return RunResult(report=report, accuracy=accuracy, product_source_used=source_used, files=files)
 
 
@@ -334,7 +335,4 @@ def emit_curves(
         degrees = np.column_stack([p.mf.evaluate_many(xs) for p in spec.partitions])
         header = ("x", *(p.code for p in spec.partitions))
         outputs.append((f"curves_{spec.name}.csv", grid_chunks(header, map(fmt, xs.tolist()), degrees, fmt)))
-    try:
-        return _atomic_write(out, outputs)
-    except OSError as exc:
-        raise ConfigError(f"cannot write curves to {out}: {exc}") from exc
+    return _atomic_write(out, outputs, "curves")

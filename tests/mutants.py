@@ -13,8 +13,8 @@ every named file first. The script prints one line per mutant and exits 1 if
 any mutant survives or the unmutated copy fails.
 
 The suite runs this outside the tier-1 tests: each mutant reruns whole test
-files. Add an entry for each fast path or tolerance whose tests should catch a
-wrong edit.
+files. Add an entry for each fast path, tolerance or documented rule whose
+tests should catch a wrong edit.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 REDUCTION = ("tests/test_reduction.py",)
 SCORING = ("tests/test_scoring.py",)
+CLI = ("tests/test_cli.py",)
+PIPELINE = ("tests/test_pipeline.py",)
 
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the documented tolerances, pinned by cases with a 5e-9 gap
@@ -55,6 +57,17 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # a leading BOM is skipped in the data CSV and in the spec JSON
     ("ingest.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_ingest.py",)),
     ("variables.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_cli.py",)),
+    # each error type carries its exit code; write failures and config checks are config errors
+    ("errors.py", "exit_code = 2", "exit_code = 1", CLI),
+    ("pipeline.py", 'if self.combiner != "max":', "if False:", CLI),
+    ("pipeline.py", "if isinstance(exc, OSError):", "if False:", PIPELINE),
+    # auto scores the published table only in the mode it was scored with
+    ("pipeline.py", ' and cfg.mode == "count"', "", CLI),
+    # a -0.0 cell is written as its own text
+    ("softset.py", "fmt(-0.0)", "fmt(0.0)", ("tests/test_softset.py",)),
+    # a membership curve's left tail is the left one
+    ("membership.py", "left=self.left_tail, right=self.right_tail", "left=self.right_tail, right=self.left_tail",
+     ("tests/test_membership.py",)),
 ]
 
 

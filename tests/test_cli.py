@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from fuzzysoft import ConfigError, DatasetSchema, PipelineConfig, pipeline, specs_to_json, default_variable_specs
+from fuzzysoft import (
+    ConfigError, DataError, DatasetSchema, FuzzySoftError, InternalError, PipelineConfig, pipeline, specs_to_json,
+    default_variable_specs,
+)
 from fuzzysoft import cli
 from fuzzysoft.cli import build_parser, main
 from fuzzysoft.scoring import MODES
@@ -158,15 +161,63 @@ def test_unusable_output_path_exits_1(tmp_path):
     assert run_cli("run", "--out", str(blocker / "out")) == 1
 
 
-def test_failed_run_leaves_no_partial_outputs(tmp_path, csv_116):
+def test_failed_run_leaves_no_partial_outputs(tmp_path, csv_116, capsys):
     out = tmp_path / "out"
-    # this config fails late (product stage), after ingest and fuzzification;
-    # the render-then-write design must leave the directory empty
+    # this config fails late (product stage: two product labels collide), after
+    # ingest and fuzzification; the render-then-write design must leave the directory empty
+    spec = _two_variable_spec(tmp_path / "collide.json", ["x", f"x{X}(BMI)_y"], [f"y{X}(BMI)_z", "z"])
     code = run_cli(
-        "run", "--out", str(out), "--data", str(csv_116), "--product-source", "published",
+        "run", "--out", str(out), "--data", str(csv_116), "--spec", str(spec), "--reduction", "off",
     )
     assert code == 1
+    assert "parameter labels must be unique" in capsys.readouterr().err
     assert _empty_or_absent(out)
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--data", "requires the built-in cohort and default variables"),
+    ("--spec", "requires the built-in cohort and default variables"),
+    ("--combiner", "max-combined table; it cannot use combiner 'min'"),
+], ids=["data", "spec", "combiner"])
+def test_config_only_errors_come_before_any_work(tmp_path, csv_116, capsys, monkeypatch, flag, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(specs_to_json(default_variable_specs()), encoding="utf-8")
+    value = {"--data": str(csv_116), "--spec": str(spec), "--combiner": "min"}[flag]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a config-only error must come before any stage runs")
+
+    for stage in ("load_variable_specs", "load_csv", "fuzzify_cohort"):
+        monkeypatch.setattr(pipeline, stage, no_work)
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--product-source", "published", flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: product source 'published' ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 1, "error: "),
+    (DataError, 2, "error: "),
+    (InternalError, 3, "internal error: "),
+    (FuzzySoftError, 3, "internal error: "),
+])
+def test_each_error_type_sets_the_exit_code_and_prefix(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def run_pipeline(cfg):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    assert run_cli("run", "--out", str(tmp_path / "out")) == code
+    assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+def test_auto_scores_the_computed_product_in_difference_mode(tmp_path, capsys):
+    # the published table was scored with count mode only, so auto picks it only there
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--mode", "difference") == 0
+    assert "product source: computed" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["product_source_used"] == "computed"
 
 
 def test_run_writes_tables_and_errata(tmp_path, capsys):

@@ -4,6 +4,7 @@ import errno
 import io
 import itertools
 import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 
@@ -100,6 +101,41 @@ def test_rename_failing_halfway_leaves_no_outputs(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--out", str(out)]) == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, message", [
+    ("run", "error: cannot write outputs to "),
+    ("curves", "error: cannot write curves to "),
+])
+def test_failed_rename_is_a_config_error(tmp_path, monkeypatch, capsys, command, message):
+    def fail(src, dst):
+        raise OSError(errno.EIO, "I/O error")
+
+    monkeypatch.setattr(pipeline.os, "replace", fail)
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert list(out.iterdir()) == []
+
+
+def test_every_field_but_the_output_location_moves_the_hash():
+    base = PipelineConfig()
+    changed = {
+        "data_source": "cohort.csv",
+        "schema": DatasetSchema(id_column="Name"),
+        "spec_path": "spec.json",
+        "combiner": "min",
+        "mode": "difference",
+        "reduction": "off",
+        "threshold": 0.5,
+        "round_digits": 3,
+        "product_source": "computed",
+    }
+    # a new field must be added here, and so to semantic_dict, or this fails
+    assert set(changed) == {f.name for f in fields(PipelineConfig)} - {"out_dir"}
+    for name, value in changed.items():
+        assert replace(base, **{name: value}).hash() != base.hash(), name
+    assert replace(base, out_dir="elsewhere").hash() == base.hash()
 
 
 def _csv_rows(path):
