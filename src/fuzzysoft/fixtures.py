@@ -20,6 +20,7 @@ from .softset import FuzzySoftSet
 __all__ = [
     "COHORT_IDS",
     "GROUND_TRUTH",
+    "published_variable_table",
     "published_variable_tables",
     "published_age_bmi_product",
     "published_product_table",
@@ -106,12 +107,17 @@ _PARAMETER_LABELS = {
 }
 
 
+def published_variable_table(name: str) -> FuzzySoftSet | None:
+    """The printed per-variable table of variable ``name``; None if none was printed."""
+    rows = _PRINTED_TABLES.get(name)
+    if rows is None:
+        return None
+    return FuzzySoftSet(COHORT_IDS, _PARAMETER_LABELS[name], np.array(rows, dtype=float))
+
+
 def published_variable_tables() -> dict[str, FuzzySoftSet]:
     """The five printed per-variable tables, keyed by variable name."""
-    return {
-        var: FuzzySoftSet(COHORT_IDS, _PARAMETER_LABELS[var], np.array(rows, dtype=float))
-        for var, rows in _PRINTED_TABLES.items()
-    }
+    return {var: published_variable_table(var) for var in _PRINTED_TABLES}
 
 
 # Printed age/BMI product table (12 columns, age label varying slower).

@@ -69,7 +69,7 @@ def errata_cells(name: str, computed: FuzzySoftSet) -> list[ErrataCell] | None:
     """The ``errata_report`` cells of ``computed`` against the printed table
     named ``name``, at TOLERANCE; None when there is no such table or its
     universe or parameters differ from ``computed``'s."""
-    printed = fixtures.published_variable_tables().get(name)
+    printed = fixtures.published_variable_table(name)
     if printed is None or (printed.universe, printed.parameters) != (
         computed.universe, computed.parameters
     ):

@@ -5,7 +5,8 @@ Usage, from the root of a checkout:
     python tests/mutants.py
 
 Each entry of ``MUTANTS`` is (file under ``src/fuzzysoft``, old text, new
-text, test files). For each entry the script copies ``src/``, ``tests/`` and
+text, test files). For each entry the script copies ``src/``, ``tests/``,
+``perfbench/`` (whose fine spec a reduction test reads) and
 ``pyproject.toml`` to a temporary directory, replaces the old text, which must
 occur exactly once, by the new text, and runs pytest on the named test files
 only. A mutant that leaves them passing survives. The unmutated copy must pass
@@ -52,6 +53,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("reduction.py", "supports = (degrees != 0)", "supports = (degrees > 0.25)", REDUCTION),
     # one block per depth, reused: a fresh block per yield is caught by the buffer count
     ("reduction.py", "block = stack[depth]", "block = np.empty_like(table)", REDUCTION),
+    # a cluster is summed over the union of its groups' supports, one side at a time, and
+    # holds every row of its groups: the rows of a merged group left out are caught by the work count
+    ("reduction.py", "c[0] |= support", "c[0] |= 0", REDUCTION),
+    ("reduction.py", "c = last.get(side)", "c = last.get(True)", REDUCTION),
+    ("reduction.py", "cluster_of[g] = c[2]", "cluster_of[g] = c[2] if c[0] == support else -1", REDUCTION),
+    # the packed minimality: each in-word mask tests its own bit, and below m = 6 the flags fill one word
+    ("reduction.py", "0x0F0F0F0F0F0F0F0F", "0xF0F0F0F0F0F0F0F0", REDUCTION),
+    ("reduction.py", "np.zeros(max(1, (1 << m) >> 6)", "np.zeros((1 << m) >> 6", REDUCTION),
+    ("reduction.py", "lifted.reshape(-1, 2, 1 << (b - 6))[:, 1] =", "lifted.reshape(-1, 2, 1 << (b - 6))[:, 0] =", REDUCTION),
     # the count table's uint8 accumulator is flushed before it can overflow
     ("scoring.py", "_FLUSH_COLUMNS = 255", "_FLUSH_COLUMNS = 256", SCORING),
     # a leading BOM is skipped in the data CSV and in the spec JSON
@@ -73,7 +83,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

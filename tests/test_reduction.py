@@ -1,6 +1,8 @@
 import gc
+import importlib.util
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,14 @@ from fuzzysoft import (
     ReductionResult,
     choice_values,
     find_reductions,
+    fuzzify_cohort,
+    load_csv,
     optimal_objects,
+    reduction,
     restrict,
+    specs_from_json,
 )
-from fuzzysoft.reduction import _BLOCK_CELLS, TIE_EPSILON, _subset_sums
+from fuzzysoft.reduction import _BLOCK_CELLS, TIE_EPSILON, _minimal_masks, _subset_sums
 
 MU = "μ_"
 
@@ -400,9 +406,7 @@ def test_full_set_preserves_its_own_optimal_objects_near_the_tie_guard():
         assert find_reductions(s)
 
 
-def test_search_memory_stays_in_blocks():
-    rng = np.random.default_rng(3)
-    s = _soft_set(rng.random((1000, 16)).round(2))
+def _assert_search_memory_in_blocks(s):
     tracemalloc.start()
     try:
         find_reductions(s)
@@ -411,6 +415,16 @@ def test_search_memory_stays_in_blocks():
         tracemalloc.stop()
     # one (2^16, 1000) table of sums would be 524 MB
     assert peak < 4 * 2**20, peak
+
+
+def test_search_memory_stays_in_blocks():
+    rng = np.random.default_rng(3)
+    _assert_search_memory_in_blocks(_soft_set(rng.random((1000, 16)).round(2)))
+
+
+def test_search_memory_stays_in_blocks_on_clustered_rows():
+    # partition-shaped rows are summed in clusters of support groups, over each cluster's union
+    _assert_search_memory_in_blocks(_soft_set(_partition_degrees(np.random.default_rng(3), 1000, 16)))
 
 
 def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
@@ -434,3 +448,112 @@ def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
     # objects on CPython's free lists, which only a collection empties.
     assert kept < 2**18, kept
     assert unreachable == 0
+
+
+def _brute_minimal(flags):
+    """Flagged masks with no flagged strict subset: each flagged mask rules out its strict supersets."""
+    masks = np.arange(flags.size)
+    ruled_out = np.zeros(flags.size, dtype=bool)
+    for p in np.flatnonzero(flags).tolist():
+        ruled_out |= (masks & p == p) & (masks != p)
+    return np.flatnonzero(flags & ~ruled_out)
+
+
+def test_packed_minimality_equals_a_brute_force_for_every_width_up_to_12():
+    # below m = 6 the flags fill part of one word; m = 6 and 7 are one and two whole words
+    rng = np.random.default_rng(1812)
+    for m in range(1, 13):
+        size = 1 << m
+        full_only = np.arange(size) == size - 1
+        cases = [np.zeros(size, dtype=bool), np.ones(size, dtype=bool), np.arange(size) > 0, full_only]
+        cases += [rng.random(size) < density for density in (0.01, 0.1, 0.5, 0.9)]
+        for flags in cases:
+            got = _minimal_masks(flags)
+            assert got.tolist() == _brute_minimal(flags).tolist(), (m, int(flags.sum()))
+    assert _minimal_masks(np.ones(8, dtype=bool)).tolist() == [0]
+    assert _minimal_masks(np.arange(8) > 0).tolist() == [1, 2, 4]
+    assert _minimal_masks(np.arange(1 << 7) == 127).tolist() == [127]
+
+
+def _spy_spread(monkeypatch):
+    """Record the rows, union and side of every ``_spread`` call."""
+    calls = []
+    spread = reduction._spread
+
+    def spy(degrees, support, with_min):
+        calls.append((degrees.copy(), support, with_min))
+        return spread(degrees, support, with_min)
+
+    monkeypatch.setattr(reduction, "_spread", spy)
+    return calls
+
+
+def _two_cluster_degrees(rng):
+    """Ten parameters; the target rows sum to 1.0 on supports {0,1,2} and {1,2,3}
+    (one cluster) and {6,7,8} and {7,8,9} (another), four rows each, one of
+    them eps / 2 less. A -0.0 cell sits in parameter 3 of the {0,1,2} rows,
+    inside their cluster's union but outside their support. The other rows
+    sum to less, on windows between the clusters, and one trails the best by
+    2 eps."""
+    rows = []
+    for start in (0, 1, 6, 7):
+        for _ in range(4):
+            row = np.zeros(10)
+            row[start : start + 3] = rng.permutation([0.25, 0.25, 0.5])
+            if start == 0:
+                row[3] = -0.0
+            rows.append(row)
+    tied = rows[int(rng.integers(len(rows)))]
+    tied[np.argmax(tied)] -= TIE_EPSILON / 2  # still optimal
+    for _ in range(int(rng.integers(4, 12))):
+        row = np.zeros(10)
+        start = int(rng.integers(2, 5))
+        row[start : start + 3] = rng.choice([0.25, 0.5], size=3)
+        if row.sum() >= 1.0:
+            row /= 2
+        rows.append(row)
+    near = np.zeros(10)
+    near[2:5] = [0.5, 0.25, 0.25 - 2 * TIE_EPSILON]
+    rows.append(near)
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
+def test_clusters_of_support_groups_equal_the_per_subset_reference(monkeypatch):
+    rng = np.random.default_rng(1818)
+    calls = _spy_spread(monkeypatch)
+    for _ in range(20):
+        degrees = _two_cluster_degrees(rng)
+        s = _soft_set(degrees)
+        assert len(optimal_objects(s)) == 16
+        calls.clear()
+        assert find_reductions(s) == per_subset_reductions(s)
+        target_calls = [(rows, union) for rows, union, with_min in calls if with_min]
+        # two target clusters, each merged from two support groups and summed over its union
+        assert sorted(union for _, union in target_calls) == [0b1111, 0b1111000000]
+        for rows, union in target_calls:
+            assert rows.shape[0] == 8
+            assert len({tuple(row != 0) for row in rows}) == 2
+        assert any(np.signbit(rows[:, 3]).any() for rows, _ in target_calls)
+
+
+def _benchmark_fine_spec_sets():
+    """The five 14-partition variables of the benchmark's fine spec, on the 116-row file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "cohort.py"
+    loader = importlib.util.spec_from_file_location("perfbench_cohort", path)
+    cohort = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(cohort)
+    specs = specs_from_json(cohort.fine_spec_json())
+    return fuzzify_cohort(load_csv(Path(__file__).parent / "data" / "blood_markers_116.csv", specs=specs), specs)
+
+
+def test_fine_spec_variables_are_summed_in_few_clusters(monkeypatch):
+    # A count of work, not a timing: one group per support made 12-14 calls per
+    # variable. Each call's rows are counted too: only a lone optimal row, which
+    # would not save work summed on its own, is left to the full-support group.
+    calls = _spy_spread(monkeypatch)
+    made = {}
+    for s in _benchmark_fine_spec_sets():
+        calls.clear()
+        find_reductions(s)
+        made[s.parameters[0].split("_")[0]] = (len(calls), sum(rows.shape[0] for rows, _, _ in calls))
+    assert made == {"(AGE)": (3, 116), "(BMI)": (2, 115), "(INS)": (2, 115), "(LPN)": (2, 115), "(ADP)": (2, 115)}

@@ -3,15 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzysoft import verify_fixtures
+from fuzzysoft import fixtures, verify_fixtures
 from fuzzysoft.cli import main
 from fuzzysoft.fixtures import (
     PUBLISHED_SCORE_ROWS,
     published_age_bmi_product,
     published_comparison_table,
     published_product_table,
+    published_variable_table,
     published_variable_tables,
 )
+from fuzzysoft.verify import errata_cells
 
 
 def test_fixture_shapes():
@@ -23,6 +25,21 @@ def test_fixture_shapes():
     assert published_product_table().shape == (10, 72)
     assert published_comparison_table().counts.shape == (10, 10)
     assert len(PUBLISHED_SCORE_ROWS) == 10
+
+
+def test_each_printed_table_is_built_alone(monkeypatch, computed_sets):
+    tables = published_variable_tables()
+    for var, table in tables.items():
+        one = published_variable_table(var)
+        assert (one.universe, one.parameters, one.degrees.tobytes()) == (
+            table.universe, table.parameters, table.degrees.tobytes()
+        )
+    assert published_variable_table("GLU") is None
+    built = []
+    monkeypatch.setattr(fixtures, "FuzzySoftSet", lambda *args: built.append(args[1]) or tables["AGE"])
+    assert errata_cells("AGE", computed_sets["AGE"]) is not None
+    assert errata_cells("GLU", computed_sets["AGE"]) is None
+    assert built == [tables["AGE"].parameters]  # the named table only, and none for an unknown name
 
 
 def test_published_product_is_max_of_published_inputs():
