@@ -14,23 +14,34 @@ the whole ranking by choice value, and it is not implemented here.
 Choice values are added left to right in parameter order,
 ``((d_0 + d_1) + d_2) + ...``, both in ``choice_values`` and for every subset
 the search visits, so the full parameter set always preserves its own target.
-The search decides all 2^m subsets, but it sums rows only over the
-parameters where they can be non-zero. Rows that share a support (the
-parameters where a row's degree is not zero) form a group, and neighbouring
-groups on one side of the target form a cluster, summed over the subsets of
-the union of its supports. With clusters c of |c| rows on u_c parameters, it
-costs O(sum |c| * 2^u_c + C * 2^m) for C clusters; fuzzified rows, non-zero
-on a few neighbouring partitions, make a few small clusters. A subset is
-minimal when it preserves and none of its strict subsets does; that is
-decided on the 2^m flags packed 64 to a word: 2m passes over 2^m / 64 words,
-not 2m passes over 2^m bytes. On the five 14-parameter variables of the
-benchmark's fine spec at n = 116, the search went from about 4.5 to 2.4 ms
-(one group per support and unpacked flags before; Python 3.11, numpy 2.4, a
-shared 2-vCPU machine). Besides at most one block of sums per parameter,
-O(n * m) floats, it holds one 2^m float threshold and the 2^m preserve flags
-(8 MB and 1 MB at the cap of m = 20), the table of one cluster summed on its
-own at a time (at most 2^(m-1) floats), and the min tables of the target
-clusters summed on their own.
+
+Only the subsets of U, the parameters where some optimal row is not zero,
+are searched. Let S preserve and S' = S & U. Each optimal row's sum over S'
+is bit for bit its sum over S, since the cells left out are +-0.0; each
+other row's sum over S' is at most its sum over S, since degrees lie in
+[0, 1] and rounded addition is monotone. So over S' the maximum, its tie
+guard and the optimal set are those over S, and S' preserves whenever it is
+not empty. Every minimal reduct is therefore a subset of U, except when every
+object is optimal: then each all-zero column is a minimal reduct on its own.
+The argument keeps only the optimal set; a reduction that keeps the whole
+ranking (the normal parameter reduction) cannot use it.
+
+The search decides all 2^u subsets of the u = |U| parameters. Within one
+block of sums every row is summed over every parameter. Beyond that, rows are
+summed only over the parameters where they can be non-zero: rows that share
+a support (the parameters where a row's degree is not zero) form a group, and
+neighbouring groups on one side of the target form a cluster, summed over the
+subsets of the union of its supports. With clusters c of |c| rows on u_c
+parameters, it costs O(sum |c| * 2^u_c + C * 2^u) for C clusters. A subset
+is minimal when it preserves and none of its strict subsets does; that is
+decided on the 2^u flags packed 64 to a word. On the five 14-parameter
+variables of the benchmark's fine spec at n = 116, U holds 3 parameters (6
+for AGE), and the search went from about 1.5 to 0.4 ms (all 2^14 subsets
+before; Python 3.11, numpy 2.4, a shared 2-vCPU machine). Besides at most one
+block of sums per parameter, O(n * u) floats, it holds one 2^u float
+threshold and the 2^u preserve flags (8 MB and 1 MB at the cap of u = 20),
+the table of one cluster summed on its own at a time (at most 2^(u-1)
+floats), and the min tables of the target clusters summed on their own.
 """
 from __future__ import annotations
 
@@ -174,30 +185,17 @@ def _spread(degrees: np.ndarray, support: int, with_min: bool) -> tuple[list[int
     return shape, [table.reshape(part) for table in tables]
 
 
-def _preserving_masks(degrees: np.ndarray, in_target: np.ndarray) -> np.ndarray:
-    """Flags, by mask, of the parameter subsets whose optimal rows are exactly the target rows.
+def _clusters(degrees: np.ndarray, in_target: np.ndarray) -> list[tuple[bool, int, np.ndarray]]:
+    """The (side, union of supports, rows) of each cluster that saves work summed on its own.
 
-    A row's sum over a subset is bit for bit its sum over the subset's
-    intersection with the row's support, the parameters where its degree is
-    not zero: sums start at +0.0 and never become -0.0, and x + (+-0.0) == x
-    for every other x. So a row can be summed over any superset of its
-    support. Rows are grouped by support and by side (in the target or not),
-    and each side's groups, in ``np.unique`` order, are gathered into
-    clusters: the next group joins the current cluster while summing them
-    together over the union of their supports costs no more than summing
-    them apart plus one pass over the 2^m masks. ``_spread`` sums a cluster
-    over its union only, reduces it to a max (and on the target side a min)
-    per sub-mask, and shapes that to broadcast onto all 2^m masks. A cluster
-    that would not save work that way joins its side's full-support group,
-    which is summed over every parameter and read block by block.
-
-    Each mask's threshold is final before any row is compared with it: the
-    target clusters summed on their own fold their max into it first and keep
-    their min per sub-mask until then, and the full-support target group
-    finishes it block by block. No 2^m table of sums is kept for the other
-    rows.
+    Rows are grouped by support and by side (in the target or not), and each
+    side's groups, in ``np.unique`` order, are gathered into clusters: the
+    next group joins the current cluster while summing them together over the
+    union of their supports costs no more than summing them apart plus one
+    pass over the 2^m masks. A cluster is kept when summing it over its union
+    costs less than summing its rows over every parameter.
     """
-    n, m = degrees.shape
+    m = degrees.shape[1]
     supports = (degrees != 0) @ (1 << np.arange(m))
     keys, group_of, sizes = np.unique(supports << 1 | in_target, return_inverse=True, return_counts=True)
 
@@ -219,15 +217,42 @@ def _preserving_masks(degrees: np.ndarray, in_target: np.ndarray) -> np.ndarray:
             c = last[side] = [support, size, len(clusters)]
             clusters.append((side, c))
         cluster_of[g] = c[2]
+    row_cluster = cluster_of[group_of]
+    return [
+        (side, union, row_cluster == index)
+        for side, (union, size, index) in clusters
+        if cost(size, union) < size << m
+    ]
+
+
+def _preserving_masks(degrees: np.ndarray, in_target: np.ndarray) -> np.ndarray:
+    """Flags, by mask, of the parameter subsets whose optimal rows are exactly the target rows.
+
+    A row's sum over a subset is bit for bit its sum over the subset's
+    intersection with the row's support, the parameters where its degree is
+    not zero: sums start at +0.0 and never become -0.0, and x + (+-0.0) == x
+    for every other x. So a row can be summed over any superset of its
+    support. When the sums of all rows over all 2^m masks fill more than one
+    block, ``_clusters`` picks the clusters of rows that are cheaper summed
+    over the union of their supports; ``_spread`` sums each over its union
+    only, reduces it to a max (and on the target side a min) per sub-mask,
+    and shapes that to broadcast onto all 2^m masks. The other rows form
+    their side's full-support group, which is summed over every parameter and
+    read block by block. Within one block every row is read once either way,
+    so there all rows are in the full-support groups.
+
+    Each mask's threshold is final before any row is compared with it: the
+    target clusters summed on their own fold their max into it first and keep
+    their min per sub-mask until then, and the full-support target group
+    finishes it block by block. No 2^m table of sums is kept for the other
+    rows.
+    """
+    n, m = degrees.shape
     alone: dict[bool, list[tuple[int, np.ndarray]]] = {True: [], False: []}
     wide = np.ones(n, dtype=bool)
-    row_cluster = cluster_of[group_of]
-    for side, (union, size, index) in clusters:
-        # summed on its own, a cluster saves work over joining its side's full-support group
-        if cost(size, union) < size << m:
-            rows = row_cluster == index
-            alone[side].append((union, rows))
-            wide &= ~rows
+    for side, union, rows in _clusters(degrees, in_target) if n << m > _BLOCK_CELLS else ():
+        alone[side].append((union, rows))
+        wide &= ~rows
 
     threshold = np.full(1 << m, -np.inf)
     preserves = np.ones(1 << m, dtype=bool)
@@ -303,23 +328,35 @@ def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[R
     no proper non-empty subset of B does. The result is exactly the minimal
     family, ordered by size and then by parameter position.
 
-    ``_preserving_masks`` flags the subsets that preserve the optimal set, and
-    ``_minimal_masks`` keeps those none of whose strict subsets does. The
-    search is exponential in the parameter count; ``cap`` refuses
-    inputs that are too wide.
+    Only the subsets of U, the parameters where some optimal row is not
+    zero, are searched: for a preserving S, S & U keeps each optimal row's
+    sum bit for bit (the cells left out are +-0.0) and can only lower each
+    other row's sum (rounded addition of non-negative degrees is monotone),
+    so it preserves too unless it is empty. It is empty only when every object
+    is optimal; then the columns outside U are all zero, and each on its own
+    is a minimal reduct. The argument keeps the optimal set, not the ranking.
+
+    ``_preserving_masks`` flags the subsets of U that preserve the optimal
+    set, and ``_minimal_masks`` keeps those none of whose strict subsets
+    does. The search is exponential in |U|; ``cap`` refuses inputs whose U
+    is too wide.
     """
-    m = len(s.parameters)
-    if m > cap:
-        raise ValueError(
-            f"refusing to enumerate reductions over {m} parameters (cap is {cap})"
-        )
     target = optimal_objects(s)
-    preserves = _preserving_masks(s.degrees, np.array([oid in target for oid in s.universe]))
+    in_target = np.array([oid in target for oid in s.universe])
+    searched = np.flatnonzero((s.degrees[in_target] != 0).any(axis=0)).tolist()
+    if len(searched) > cap:
+        raise ValueError(
+            f"refusing to enumerate reductions over {len(searched)} parameters (cap is {cap})"
+        )
+    preserves = _preserving_masks(s.degrees[:, searched], in_target)
     preserves[0] = False
-    combos = sorted(
-        (tuple(j for j in range(m) if mask >> j & 1) for mask in _minimal_masks(preserves).tolist()),
-        key=lambda combo: (len(combo), combo),
-    )
+    combos = [
+        tuple(j for k, j in enumerate(searched) if mask >> k & 1)
+        for mask in _minimal_masks(preserves).tolist()
+    ]
+    if in_target.all():
+        combos += [(j,) for j in range(len(s.parameters)) if j not in searched]
+    combos.sort(key=lambda combo: (len(combo), combo))
     results: list[ReductionResult] = []
     for combo in combos:
         kept = tuple(s.parameters[j] for j in combo)

@@ -58,6 +58,13 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("reduction.py", "c[0] |= support", "c[0] |= 0", REDUCTION),
     ("reduction.py", "c = last.get(side)", "c = last.get(True)", REDUCTION),
     ("reduction.py", "cluster_of[g] = c[2]", "cluster_of[g] = c[2] if c[0] == support else -1", REDUCTION),
+    # within one block of sums no cluster is summed on its own: caught by the work count
+    ("reduction.py", "if n << m > _BLOCK_CELLS else ()", "if True else ()", REDUCTION),
+    # only the optimal rows' support is searched, and when every object is optimal the
+    # all-zero columns outside it are reducts on their own
+    ("reduction.py", "(s.degrees[in_target] != 0)", "(s.degrees[~in_target] != 0)", REDUCTION),
+    ("reduction.py", "if in_target.all():", "if in_target.any():", REDUCTION),
+    ("reduction.py", "combos += [(j,) for j in range(len(s.parameters)) if j not in searched]", "combos += []", REDUCTION),
     # the packed minimality: each in-word mask tests its own bit, and below m = 6 the flags fill one word
     ("reduction.py", "0x0F0F0F0F0F0F0F0F", "0xF0F0F0F0F0F0F0F0", REDUCTION),
     ("reduction.py", "np.zeros(max(1, (1 << m) >> 6)", "np.zeros((1 << m) >> 6", REDUCTION),

@@ -317,15 +317,30 @@ def test_spec_on_a_column_the_builtin_cohort_lacks_exits_2(tmp_path, capsys):
     assert _empty_or_absent(out)
 
 
-def test_reduction_over_the_parameter_cap_exits_1(tmp_path):
-    partitions = [{"label": f"p{k}", "nodes": [[k, 0], [k + 1, 1], [k + 2, 0]]} for k in range(21)]
+def test_reduction_over_the_parameter_cap_exits_1(tmp_path, capsys):
+    # 21 triangles that each cover every age: the optimal rows are non-zero on all 21
+    partitions = [{"label": f"p{k}", "nodes": [[0, 0], [k + 40, 1], [200, 0]]} for k in range(21)]
     spec_file = tmp_path / "wide.json"
     spec_file.write_text(json.dumps([{"name": "AGE", "column": "Age", "partitions": partitions}]),
                          encoding="utf-8")
     out = tmp_path / "out"
     assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "over 21 parameters (cap is 20)" in capsys.readouterr().err
     assert _empty_or_absent(out)
     assert run_cli("run", "--out", str(out), "--spec", str(spec_file), "--reduction", "off") == 0
+
+
+def test_reduction_of_a_variable_wider_than_the_cap_runs_when_its_optimal_rows_are_narrow(tmp_path):
+    # 24 triangles 1.5 spacings wide on each side: each age touches at most three of them
+    peaks = [24 + 65 * k / 23 for k in range(24)]
+    half = 1.5 * 65 / 23
+    partitions = [{"label": f"p{k}", "nodes": [[p - half, 0], [p, 1], [p + half, 0]]} for k, p in enumerate(peaks)]
+    spec_file = tmp_path / "wide.json"
+    spec_file.write_text(json.dumps([{"name": "AGE", "column": "Age", "partitions": partitions}]),
+                         encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec_file)) == 0
+    assert (out / "reduction.txt").read_text(encoding="utf-8").startswith("AGE: kept (AGE)_p")
 
 
 @pytest.mark.parametrize("entry", [1, "AGE", [], None])

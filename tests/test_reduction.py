@@ -1,6 +1,7 @@
 import gc
 import importlib.util
 import itertools
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -129,9 +130,47 @@ def test_full_parameter_set_is_fallback_reduct():
     assert results[0].dispensable == ()
 
 
-def test_parameter_cap_refusal(computed_sets):
-    with pytest.raises(ValueError, match="cap is 2"):
-        find_reductions(computed_sets["AGE"], cap=2)
+def test_parameter_cap_refusal():
+    # the optimal row is non-zero on all three parameters, so all three are searched
+    s = FuzzySoftSet(("h1", "h2"), ("e1", "e2", "e3"), np.array([[0.5, 0.25, 0.75], [0.25, 0.5, 0.25]]))
+    with pytest.raises(ValueError, match=r"over 3 parameters \(cap is 2\)"):
+        find_reductions(s, cap=2)
+
+
+def _age_triangles(count, half):
+    """``count`` triangles with peaks evenly spread over the cohort's ages, ``half`` spacings wide on each side."""
+    peaks = np.linspace(24.0, 89.0, count)
+    width = half * (peaks[1] - peaks[0])
+    parts = [{"label": f"P{k:02d}", "nodes": [[p - width, 0.0], [p, 1.0], [p + width, 0.0]]} for k, p in enumerate(peaks)]
+    specs = specs_from_json(json.dumps([{"name": "AGE", "column": "Age", "partitions": parts}]))
+    (s,) = fuzzify_cohort(load_csv(Path(__file__).parent / "data" / "blood_markers_116.csv", specs=specs), specs)
+    return s
+
+
+def test_a_variable_wider_than_the_cap_reduces_when_its_optimal_rows_are_narrow():
+    # 24 partitions; each age is non-zero on at most three neighbouring triangles,
+    # and the optimal ages sit at two peaks, so six parameters are searched
+    s = _age_triangles(24, 1.5)
+    target = optimal_objects(s)
+    in_target = [oid in target for oid in s.universe]
+    searched = {s.parameters[j] for j in np.flatnonzero((s.degrees[in_target] != 0).any(axis=0))}
+    assert len(s.parameters) == 24 and len(searched) == 6
+    results = find_reductions(s)
+    assert results
+    for result in results:
+        assert set(result.reduct) <= searched
+        assert optimal_objects(restrict(s, result.reduct)) == target
+        for drop in result.reduct:
+            remaining = [p for p in result.reduct if p != drop]
+            assert not remaining or optimal_objects(restrict(s, remaining)) != target
+
+
+def test_a_dense_variable_wider_than_the_cap_is_refused():
+    # 24 triangles, each wide enough to cover every age: every row is non-zero on all of them
+    s = _age_triangles(24, 30.0)
+    assert (s.degrees != 0).all()
+    with pytest.raises(ValueError, match=r"over 24 parameters \(cap is 20\)"):
+        find_reductions(s)
 
 
 def test_age_set_reduces_to_old_alone(computed_sets):
@@ -494,7 +533,8 @@ def _two_cluster_degrees(rng):
     them eps / 2 less. A -0.0 cell sits in parameter 3 of the {0,1,2} rows,
     inside their cluster's union but outside their support. The other rows
     sum to less, on windows between the clusters, and one trails the best by
-    2 eps."""
+    2 eps. There are over 116 of them: the eight parameters the optimal rows
+    touch are searched, and n * 2^8 sums fill more than one block."""
     rows = []
     for start in (0, 1, 6, 7):
         for _ in range(4):
@@ -505,7 +545,7 @@ def _two_cluster_degrees(rng):
             rows.append(row)
     tied = rows[int(rng.integers(len(rows)))]
     tied[np.argmax(tied)] -= TIE_EPSILON / 2  # still optimal
-    for _ in range(int(rng.integers(4, 12))):
+    for _ in range(int(rng.integers(116, 132))):
         row = np.zeros(10)
         start = int(rng.integers(2, 5))
         row[start : start + 3] = rng.choice([0.25, 0.5], size=3)
@@ -525,9 +565,13 @@ def test_clusters_of_support_groups_equal_the_per_subset_reference(monkeypatch):
         degrees = _two_cluster_degrees(rng)
         s = _soft_set(degrees)
         assert len(optimal_objects(s)) == 16
+        assert len(degrees) << 8 > _BLOCK_CELLS
         calls.clear()
         assert find_reductions(s) == per_subset_reductions(s)
-        target_calls = [(rows, union) for rows, union, with_min in calls if with_min]
+        # the search sees parameters 0-3 and 6-9 only; each union bit k stands for searched[k]
+        searched = [0, 1, 2, 3, 6, 7, 8, 9]
+        target_calls = [(rows, sum(1 << searched[k] for k in range(8) if union >> k & 1))
+                        for rows, union, with_min in calls if with_min]
         # two target clusters, each merged from two support groups and summed over its union
         assert sorted(union for _, union in target_calls) == [0b1111, 0b1111000000]
         for rows, union in target_calls:
@@ -546,14 +590,129 @@ def _benchmark_fine_spec_sets():
     return fuzzify_cohort(load_csv(Path(__file__).parent / "data" / "blood_markers_116.csv", specs=specs), specs)
 
 
-def test_fine_spec_variables_are_summed_in_few_clusters(monkeypatch):
-    # A count of work, not a timing: one group per support made 12-14 calls per
-    # variable. Each call's rows are counted too: only a lone optimal row, which
-    # would not save work summed on its own, is left to the full-support group.
+def test_fine_spec_variables_are_searched_over_their_optimal_rows_support(monkeypatch):
+    # A count of work, not a timing: each variable is searched over the
+    # parameters its optimal rows touch, three per optimal value (AGE has two,
+    # at two peaks), and 116 rows over 2^3 or 2^6 masks fill one block, so no
+    # cluster is summed on its own.
     calls = _spy_spread(monkeypatch)
-    made = {}
+    shapes = []
+    preserving_masks = reduction._preserving_masks
+
+    def spy(degrees, in_target):
+        shapes.append(degrees.shape)
+        return preserving_masks(degrees, in_target)
+
+    monkeypatch.setattr(reduction, "_preserving_masks", spy)
+    searched = {}
     for s in _benchmark_fine_spec_sets():
-        calls.clear()
+        shapes.clear()
         find_reductions(s)
-        made[s.parameters[0].split("_")[0]] = (len(calls), sum(rows.shape[0] for rows, _, _ in calls))
-    assert made == {"(AGE)": (3, 116), "(BMI)": (2, 115), "(INS)": (2, 115), "(LPN)": (2, 115), "(ADP)": (2, 115)}
+        searched[s.parameters[0].split("_")[0]] = list(shapes)
+    assert searched == {"(AGE)": [(116, 6)], "(BMI)": [(116, 3)], "(INS)": [(116, 3)], "(LPN)": [(116, 3)],
+                        "(ADP)": [(116, 3)]}
+    assert calls == []
+
+
+def test_every_object_optimal_makes_each_all_zero_column_a_reduct():
+    # both rows sum to 0.75, on supports {0, 1} and {3}; columns 2 and 4 are zero, some cells -0.0
+    s = _soft_set(np.array([[0.5, 0.25, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, 0.75, 0.0]]))
+    assert optimal_objects(s) == {"h0", "h1"}
+    got = find_reductions(s)
+    assert got == per_subset_reductions(s)
+    assert [frozenset(r.reduct) for r in got] == brute_force_reductions(s)
+    assert [r.reduct for r in got] == [("e2",), ("e4",), ("e0", "e1", "e3")]
+    # no row is non-zero anywhere: nothing is searched, and each column alone is a reduct
+    s = _soft_set(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]]))
+    assert [r.reduct for r in find_reductions(s)] == [("e0",), ("e1",), ("e2",)] == [
+        tuple(sorted(b)) for b in brute_force_reductions(s)]
+
+
+def test_rows_outside_the_optimal_support_are_bounded_by_their_part_inside_it():
+    # h1 trails h0 by eps + 1 ulp, eps or eps - 1 ulp only through e2, which h0 does
+    # not touch: over e0 and e1 alone h1 falls further behind
+    for gap in (np.nextafter(TIE_EPSILON, 1.0), TIE_EPSILON, np.nextafter(TIE_EPSILON, 0.0)):
+        degrees = np.array([[0.5, 0.5, -0.0], [0.5, 0.25, 0.25 - gap], [0.0, 0.0, 0.0]])
+        s = _soft_set(degrees)
+        assert find_reductions(s) == per_subset_reductions(s), gap
+        assert [frozenset(r.reduct) for r in find_reductions(s)] == brute_force_reductions(s), gap
+
+
+def _narrow_optimal_degrees(rng, n, m):
+    """Sparse quarter-step rows, where the optimal rows touch few of the parameters.
+
+    Then rows are copied from the best row onto a disjoint window (optimal
+    rows on disjoint supports), or copied with one cell moved outside the
+    best row's support so that they trail it by eps, eps +- 1 ulp or eps / 2;
+    some rows are all zero. Sometimes every row is rebuilt to sum to 1.0 on
+    its own support, so every object is optimal. Some zero cells become -0.0.
+    """
+    degrees = rng.integers(1, 5, size=(n, m)) / 4 * (rng.random((n, m)) < 0.3)
+    if rng.random() < 0.2:
+        degrees[:] = 0.0
+        for row in degrees:
+            np.add.at(row, rng.integers(0, m, size=4), 0.25)
+    else:
+        for _ in range(int(rng.integers(0, n)) if n > 1 else 0):
+            best = degrees[int(np.argmax(degrees.sum(axis=1)))]
+            dst = int(rng.integers(n))
+            support = np.flatnonzero(best)
+            op = rng.integers(3)
+            if op == 0 and support.size and support[-1] + 1 + support[-1] - support[0] < m:
+                degrees[dst] = np.roll(best, int(support[-1] - support[0] + 1))
+            elif op == 1 and support.size and support.size < m:
+                row = best.copy()
+                j, k = int(rng.choice(support)), int(rng.choice(np.flatnonzero(best == 0)))
+                gap = [TIE_EPSILON, np.nextafter(TIE_EPSILON, 1.0), np.nextafter(TIE_EPSILON, 0.0), TIE_EPSILON / 2][
+                    int(rng.integers(4))]
+                row[k] = min(row[j], 0.25)
+                row[j] -= row[k] + gap
+                degrees[dst] = np.clip(row, 0.0, 1.0)
+            elif op == 2:
+                degrees[dst] = 0.0
+    degrees[(degrees == 0) & (rng.random((n, m)) < 0.3)] = -0.0
+    return degrees
+
+
+def test_search_over_the_optimal_support_equals_the_per_subset_reference():
+    rng = np.random.default_rng(1919)
+    seen = {"every object optimal": 0, "-0.0 cells": 0, "eps gaps": 0, "empty rows": 0,
+            "disjoint optimal supports": 0, "columns left out": 0}
+    for _ in range(300):
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 10))
+        degrees = _narrow_optimal_degrees(rng, n, m)
+        s = _soft_set(degrees)
+        got = find_reductions(s)
+        assert got == per_subset_reductions(s), (n, m)
+        if m <= 6:
+            assert [frozenset(r.reduct) for r in got] == brute_force_reductions(s), (n, m)
+        f = choice_values(s)
+        in_target = f >= f.max() - TIE_EPSILON
+        supports = {frozenset(np.flatnonzero(row).tolist()) for row in degrees[in_target]}
+        seen["every object optimal"] += bool(in_target.all()) and n > 1
+        seen["-0.0 cells"] += bool(np.signbit(degrees).any())
+        seen["eps gaps"] += bool(((f < f.max()) & (f > f.max() - 2 * TIE_EPSILON)).any())
+        seen["empty rows"] += bool((degrees == 0).all(axis=1).any())
+        seen["disjoint optimal supports"] += any(a and b and not a & b for a in supports for b in supports)
+        seen["columns left out"] += len(set().union(*supports)) < m
+    assert min(seen.values()) >= 20, seen
+
+
+def test_one_block_and_grouped_routes_flag_the_same_subsets(monkeypatch):
+    # Below one block of sums every row goes to its side's full-support group;
+    # with the block size at 0 the same inputs take the grouped route.
+    rng = np.random.default_rng(1920)
+    inputs = [_partition_degrees(rng, int(rng.integers(2, 60)), int(rng.integers(1, 10))) for _ in range(60)]
+    inputs += [_narrow_optimal_degrees(rng, int(rng.integers(2, 60)), int(rng.integers(1, 10))) for _ in range(60)]
+    flags = []
+    for degrees in inputs:
+        f = choice_values(_soft_set(degrees))
+        in_target = f >= f.max() - TIE_EPSILON
+        assert len(degrees) << degrees.shape[1] <= _BLOCK_CELLS
+        flags.append((reduction._preserving_masks(degrees, in_target), in_target))
+    calls = _spy_spread(monkeypatch)
+    monkeypatch.setattr(reduction, "_BLOCK_CELLS", 0)
+    for degrees, (one_block, in_target) in zip(inputs, flags):
+        assert reduction._preserving_masks(degrees, in_target).tolist() == one_block.tolist()
+    assert sum(with_min for _, _, with_min in calls) >= 60
+    assert sum(not with_min for _, _, with_min in calls) >= 60
