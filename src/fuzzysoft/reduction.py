@@ -26,22 +26,12 @@ object is optimal: then each all-zero column is a minimal reduct on its own.
 The argument keeps only the optimal set; a reduction that keeps the whole
 ranking (the normal parameter reduction) cannot use it.
 
-The search decides all 2^u subsets of the u = |U| parameters. Within one
-block of sums every row is summed over every parameter. Beyond that, rows are
-summed only over the parameters where they can be non-zero: rows that share
-a support (the parameters where a row's degree is not zero) form a group, and
-neighbouring groups on one side of the target form a cluster, summed over the
-subsets of the union of its supports. With clusters c of |c| rows on u_c
-parameters, it costs O(sum |c| * 2^u_c + C * 2^u) for C clusters. A subset
-is minimal when it preserves and none of its strict subsets does; that is
-decided on the 2^u flags packed 64 to a word. On the five 14-parameter
-variables of the benchmark's fine spec at n = 116, U holds 3 parameters (6
-for AGE), and the search went from about 1.5 to 0.4 ms (all 2^14 subsets
-before; Python 3.11, numpy 2.4, a shared 2-vCPU machine). Besides at most one
-block of sums per parameter, O(n * u) floats, it holds one 2^u float
-threshold and the 2^u preserve flags (8 MB and 1 MB at the cap of u = 20),
-the table of one cluster summed on its own at a time (at most 2^(u-1)
-floats), and the min tables of the target clusters summed on their own.
+The search decides all 2^u subsets of the u = |U| parameters in two walks
+of ``_subset_sums``, one over the optimal rows and one over the others, so
+it costs O(n * 2^u). Besides at most one block of sums per parameter,
+O(n * u) floats, it holds the 2^u float threshold and the 2^u preserve flags
+(8 MB and 1 MB at the cap of u = 20). The minimal subsets then take 2u
+boolean passes over the flags.
 """
 from __future__ import annotations
 
@@ -68,14 +58,6 @@ DEFAULT_PARAMETER_CAP = 20
 
 # Cells (objects x subsets) in one block of subset sums; 256 KB of float64.
 _BLOCK_CELLS = 1 << 15
-
-# _LOW[b]: the bits of a 64-bit word whose position within the word has bit b
-# clear; shifted up by _SHIFT[b], each lands on its position with bit b set.
-_LOW = tuple(np.uint64(w) for w in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
-))
-_SHIFT = tuple(np.uint64(1 << b) for b in range(6))
 
 
 @dataclass(frozen=True)
@@ -144,181 +126,49 @@ def _subset_sums(degrees: np.ndarray, block_cells: int = _BLOCK_CELLS) -> Iterat
         todo.extend((high | 1 << b, b, depth + 1) for b in reversed(range(last + 1, top)))
 
 
-def _run_shapes(support: int, m: int) -> tuple[list[int], list[int]]:
-    """Shapes that broadcast a table over the sub-masks of ``support`` onto all 2^m masks.
-
-    The first shape splits the mask axis into one axis per run of neighbouring
-    bits that are all in ``support`` or all out of it, highest bits first. The
-    second is the same with each non-support run of length 1, so a table
-    indexed by sub-mask (``support``'s bits packed in order) takes that shape
-    and lines each mask up with its intersection with ``support``.
-    """
-    full: list[int] = []
-    part: list[int] = []
-    b = m
-    while b:
-        inside = support >> (b - 1) & 1
-        run = 1
-        while run < b and (support >> (b - 1 - run) & 1) == inside:
-            run += 1
-        full.append(1 << run)
-        part.append(1 << run if inside else 1)
-        b -= run
-    return full, part
-
-
-def _spread(degrees: np.ndarray, support: int, with_min: bool) -> tuple[list[int], list[np.ndarray]]:
-    """The rows' max, and if asked min, choice value for every subset of ``support``.
-
-    Returns the first shape of ``_run_shapes(support, m)`` and the tables in
-    the second, ready to broadcast onto all 2^m masks.
-    """
-    m = degrees.shape[1]
-    cols = degrees[:, [j for j in range(m) if support >> j & 1]]
-    tables = [np.empty(1 << cols.shape[1]) for _ in range(1 + with_min)]
-    for first, sums in _subset_sums(cols):
-        stop = first + sums.shape[1]
-        sums.max(axis=0, out=tables[0][first:stop])
-        if with_min:
-            sums.min(axis=0, out=tables[1][first:stop])
-    shape, part = _run_shapes(support, m)
-    return shape, [table.reshape(part) for table in tables]
-
-
-def _clusters(degrees: np.ndarray, in_target: np.ndarray) -> list[tuple[bool, int, np.ndarray]]:
-    """The (side, union of supports, rows) of each cluster that saves work summed on its own.
-
-    Rows are grouped by support and by side (in the target or not), and each
-    side's groups, in ``np.unique`` order, are gathered into clusters: the
-    next group joins the current cluster while summing them together over the
-    union of their supports costs no more than summing them apart plus one
-    pass over the 2^m masks. A cluster is kept when summing it over its union
-    costs less than summing its rows over every parameter.
-    """
-    m = degrees.shape[1]
-    supports = (degrees != 0) @ (1 << np.arange(m))
-    keys, group_of, sizes = np.unique(supports << 1 | in_target, return_inverse=True, return_counts=True)
-
-    def cost(rows: int, union: int) -> int:
-        # rows summed over the subsets of union, and one pass over the 2^m masks
-        return (rows << union.bit_count()) + (1 << m)
-
-    # [union of supports, rows, index], the last cluster of each side
-    last: dict[bool, list[int]] = {}
-    clusters: list[tuple[bool, list[int]]] = []
-    cluster_of = np.empty(len(keys), dtype=np.intp)
-    for g, (key, size) in enumerate(zip(keys.tolist(), sizes.tolist())):
-        support, side = key >> 1, bool(key & 1)
-        c = last.get(side)
-        if c is not None and cost(c[1] + size, c[0] | support) <= cost(c[1], c[0]) + cost(size, support):
-            c[0] |= support
-            c[1] += size
-        else:
-            c = last[side] = [support, size, len(clusters)]
-            clusters.append((side, c))
-        cluster_of[g] = c[2]
-    row_cluster = cluster_of[group_of]
-    return [
-        (side, union, row_cluster == index)
-        for side, (union, size, index) in clusters
-        if cost(size, union) < size << m
-    ]
-
-
 def _preserving_masks(degrees: np.ndarray, in_target: np.ndarray) -> np.ndarray:
     """Flags, by mask, of the parameter subsets whose optimal rows are exactly the target rows.
 
-    A row's sum over a subset is bit for bit its sum over the subset's
-    intersection with the row's support, the parameters where its degree is
-    not zero: sums start at +0.0 and never become -0.0, and x + (+-0.0) == x
-    for every other x. So a row can be summed over any superset of its
-    support. When the sums of all rows over all 2^m masks fill more than one
-    block, ``_clusters`` picks the clusters of rows that are cheaper summed
-    over the union of their supports; ``_spread`` sums each over its union
-    only, reduces it to a max (and on the target side a min) per sub-mask,
-    and shapes that to broadcast onto all 2^m masks. The other rows form
-    their side's full-support group, which is summed over every parameter and
-    read block by block. Within one block every row is read once either way,
-    so there all rows are in the full-support groups.
-
-    Each mask's threshold is final before any row is compared with it: the
-    target clusters summed on their own fold their max into it first and keep
-    their min per sub-mask until then, and the full-support target group
-    finishes it block by block. No 2^m table of sums is kept for the other
-    rows.
+    The target rows are walked first: each mask's threshold is their best
+    choice value less ``TIE_EPSILON``, and the mask is flagged where their
+    worst reaches it. So each threshold is final before the other rows, if
+    any, are walked; a mask loses its flag where one of them reaches it.
     """
-    n, m = degrees.shape
-    alone: dict[bool, list[tuple[int, np.ndarray]]] = {True: [], False: []}
-    wide = np.ones(n, dtype=bool)
-    for side, union, rows in _clusters(degrees, in_target) if n << m > _BLOCK_CELLS else ():
-        alone[side].append((union, rows))
-        wide &= ~rows
-
-    threshold = np.full(1 << m, -np.inf)
-    preserves = np.ones(1 << m, dtype=bool)
-    lows = []
-    for support, rows in alone[True]:
-        shape, (hi, lo) = _spread(degrees[rows], support, with_min=True)
-        view = threshold.reshape(shape)
-        np.maximum(view, hi, out=view)
-        lows.append((shape, lo))
-        del hi  # one cluster's max table at a time
-    if (wide & in_target).any():
-        for first, sums in _subset_sums(degrees[wide & in_target]):
-            stop = first + sums.shape[1]
-            block = threshold[first:stop]
-            np.maximum(block, sums.max(axis=0), out=block)
-            block -= TIE_EPSILON
-            preserves[first:stop] = sums.min(axis=0) >= block
-    else:
-        threshold -= TIE_EPSILON
-    for shape, lo in lows:
-        view = preserves.reshape(shape)
-        view &= lo >= threshold.reshape(shape)
-    # where another object reaches the target's best, hi < threshold fails either way
-    for support, rows in alone[False]:
-        shape, (hi,) = _spread(degrees[rows], support, with_min=False)
-        view = preserves.reshape(shape)
-        view &= hi < threshold.reshape(shape)
-        del hi
-    if (wide & ~in_target).any():
-        for first, sums in _subset_sums(degrees[wide & ~in_target]):
+    m = degrees.shape[1]
+    threshold = np.empty(1 << m)
+    preserves = np.empty(1 << m, dtype=bool)
+    for first, sums in _subset_sums(degrees[in_target]):
+        stop = first + sums.shape[1]
+        block = threshold[first:stop]
+        sums.max(axis=0, out=block)
+        block -= TIE_EPSILON
+        preserves[first:stop] = sums.min(axis=0) >= block
+    if not in_target.all():
+        for first, sums in _subset_sums(degrees[~in_target]):
             stop = first + sums.shape[1]
             preserves[first:stop] &= sums.max(axis=0) < threshold[first:stop]
     return preserves
 
 
-def _lift(words: np.ndarray, b: int) -> np.ndarray:
-    """Packed flags moved from each mask to the mask with bit ``b`` added; 0 where bit ``b`` is clear."""
-    if b < 6:
-        return (words & _LOW[b]) << _SHIFT[b]
-    lifted = np.zeros_like(words)
-    lifted.reshape(-1, 2, 1 << (b - 6))[:, 1] = words.reshape(-1, 2, 1 << (b - 6))[:, 0]
-    return lifted
-
-
 def _minimal_masks(preserves: np.ndarray) -> np.ndarray:
     """The masks flagged in ``preserves`` (2^m flags) none of whose strict subsets is flagged.
 
-    The flags are packed into little-endian 64-bit words, bit i of word w
-    flagging mask 64 * w + i; below m = 6 one word holds them all. ``_lift``
-    moves them along one mask bit: a shift and a mask within each word for
-    bits 0-5, a copy between word halves for bits 6 and up. Lifting and ORing
-    along every bit gives ``covered``, the masks with a flagged subset
-    (themselves included), and a flagged mask is minimal when no mask one bit
-    smaller is covered.
+    Viewed as ``reshape(-1, 2, 1 << b)``, the flags pair each mask without
+    bit ``b`` (``[:, 0]``) with the same mask plus bit ``b`` (``[:, 1]``).
+    ORing each pair upward along every bit gives ``covered``, the masks with
+    a flagged subset (themselves included), and a flagged mask is minimal
+    when no mask one bit smaller is covered.
     """
     m = len(preserves).bit_length() - 1
-    words = np.zeros(max(1, (1 << m) >> 6), dtype="<u8")
-    flags = np.packbits(preserves, bitorder="little")
-    words.view(np.uint8)[: flags.size] = flags
-    covered = words.copy()
+    covered = preserves.copy()
     for b in range(m):
-        covered |= _lift(covered, b)
-    minimal = words
+        pairs = covered.reshape(-1, 2, 1 << b)
+        pairs[:, 1] |= pairs[:, 0]
+    minimal = preserves.copy()
     for b in range(m):
-        minimal &= ~_lift(covered, b)
-    return np.flatnonzero(np.unpackbits(minimal.view(np.uint8), bitorder="little")[: 1 << m])
+        pairs, below = minimal.reshape(-1, 2, 1 << b), covered.reshape(-1, 2, 1 << b)
+        pairs[:, 1] &= ~below[:, 0]
+    return np.flatnonzero(minimal)
 
 
 def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[ReductionResult]:
@@ -337,9 +187,10 @@ def find_reductions(s: FuzzySoftSet, cap: int = DEFAULT_PARAMETER_CAP) -> list[R
     is a minimal reduct. The argument keeps the optimal set, not the ranking.
 
     ``_preserving_masks`` flags the subsets of U that preserve the optimal
-    set, and ``_minimal_masks`` keeps those none of whose strict subsets
-    does. The search is exponential in |U|; ``cap`` refuses inputs whose U
-    is too wide.
+    set, in one walk over the optimal rows and one over the others, and
+    ``_minimal_masks`` keeps those none of whose strict subsets does. The
+    search is exponential in |U|; ``cap`` refuses inputs whose U is too
+    wide.
     """
     target = optimal_objects(s)
     in_target = np.array([oid in target for oid in s.universe])

@@ -37,38 +37,27 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the documented tolerances, pinned by cases with a 5e-9 gap
     ("reduction.py", "TIE_EPSILON = 1e-9", "TIE_EPSILON = 1e-8", REDUCTION),
     ("scoring.py", "COMPARISON_EPSILON = 1e-9", "COMPARISON_EPSILON = 1e-8", SCORING),
-    # the reduct search's row groups: target and other rows must not share a group
-    ("reduction.py", "np.unique(supports << 1 | in_target,", "np.unique(supports << 1,", REDUCTION),
-    # the threshold keeps its tie guard, with and without a full-support target group
+    # the threshold keeps its tie guard
     ("reduction.py", "block -= TIE_EPSILON", "block -= 0.0", REDUCTION),
-    ("reduction.py", "threshold -= TIE_EPSILON", "threshold -= 0.0", REDUCTION),
     # tie comparisons stay inclusive on the target side and strict on the other
     ("reduction.py", "f >= best - TIE_EPSILON", "f > best - TIE_EPSILON", REDUCTION),
     ("reduction.py", "sums.min(axis=0) >= block", "sums.min(axis=0) > block", REDUCTION),
-    ("reduction.py", "view &= hi < threshold.reshape(shape)", "view &= hi <= threshold.reshape(shape)", REDUCTION),
-    # sums run left to right in parameter order, in choice_values and over each group's support
+    ("reduction.py", "sums.max(axis=0) < threshold[first:stop]", "sums.max(axis=0) <= threshold[first:stop]", REDUCTION),
+    # the other rows are walked only when there are some: no rows give no block size
+    ("reduction.py", "if not in_target.all():", "if True:", REDUCTION),
+    # sums run left to right in parameter order, in choice_values as in the search
     ("reduction.py", "for j in range(s.degrees.shape[1]):", "for j in reversed(range(s.degrees.shape[1])):", REDUCTION),
-    ("reduction.py", "[j for j in range(m) if support", "[j for j in reversed(range(m)) if support", REDUCTION),
-    # a row's support holds every non-zero cell
-    ("reduction.py", "supports = (degrees != 0)", "supports = (degrees > 0.25)", REDUCTION),
     # one block per depth, reused: a fresh block per yield is caught by the buffer count
     ("reduction.py", "block = stack[depth]", "block = np.empty_like(table)", REDUCTION),
-    # a cluster is summed over the union of its groups' supports, one side at a time, and
-    # holds every row of its groups: the rows of a merged group left out are caught by the work count
-    ("reduction.py", "c[0] |= support", "c[0] |= 0", REDUCTION),
-    ("reduction.py", "c = last.get(side)", "c = last.get(True)", REDUCTION),
-    ("reduction.py", "cluster_of[g] = c[2]", "cluster_of[g] = c[2] if c[0] == support else -1", REDUCTION),
-    # within one block of sums no cluster is summed on its own: caught by the work count
-    ("reduction.py", "if n << m > _BLOCK_CELLS else ()", "if True else ()", REDUCTION),
     # only the optimal rows' support is searched, and when every object is optimal the
     # all-zero columns outside it are reducts on their own
     ("reduction.py", "(s.degrees[in_target] != 0)", "(s.degrees[~in_target] != 0)", REDUCTION),
     ("reduction.py", "if in_target.all():", "if in_target.any():", REDUCTION),
     ("reduction.py", "combos += [(j,) for j in range(len(s.parameters)) if j not in searched]", "combos += []", REDUCTION),
-    # the packed minimality: each in-word mask tests its own bit, and below m = 6 the flags fill one word
-    ("reduction.py", "0x0F0F0F0F0F0F0F0F", "0xF0F0F0F0F0F0F0F0", REDUCTION),
-    ("reduction.py", "np.zeros(max(1, (1 << m) >> 6)", "np.zeros((1 << m) >> 6", REDUCTION),
-    ("reduction.py", "lifted.reshape(-1, 2, 1 << (b - 6))[:, 1] =", "lifted.reshape(-1, 2, 1 << (b - 6))[:, 0] =", REDUCTION),
+    # minimality: covered runs from each mask up to its supersets, and a mask is tested
+    # against the masks one bit smaller
+    ("reduction.py", "pairs[:, 1] |= pairs[:, 0]", "pairs[:, 0] |= pairs[:, 1]", REDUCTION),
+    ("reduction.py", "pairs[:, 1] &= ~below[:, 0]", "pairs[:, 1] &= ~below[:, 1]", REDUCTION),
     # the count table's uint8 accumulator is flushed before it can overflow
     ("scoring.py", "_FLUSH_COLUMNS = 255", "_FLUSH_COLUMNS = 256", SCORING),
     # a leading BOM is skipped in the data CSV and in the spec JSON

@@ -350,7 +350,7 @@ def test_search_equals_per_subset_reference_on_fuzzy_partition_rows():
 
 
 def test_search_splits_eps_ties_across_row_supports():
-    # Rows 0 and 1 share a support, so their group's min and max decide the
+    # Rows 0 and 1 share a support, so their min and max decide the
     # threshold; rows 2 and 3 each have their own support and sum to the
     # threshold, or 1 ulp above it, or 1 ulp below it (t - 0.75 is exact).
     threshold = 1.25 - TIE_EPSILON
@@ -374,7 +374,7 @@ def test_tie_epsilon_is_one_billionth():
     s = _soft_set(np.array([[0.5, 0.2], [0.5 - 5e-9, 0.2]]))
     assert optimal_objects(s) == frozenset({"h0"})
     assert [r.reduct for r in find_reductions(s)] == [("e0",)]
-    # the same gap between row pairs on two supports, each pair summed on its own
+    # the same gap between row pairs on two supports
     pair = np.array([[0.5, 0.2, 0.0, 0.0], [0.0, 0.0, 0.2, 0.5 - 5e-9]])
     s = _soft_set(pair.repeat(2, axis=0))
     assert optimal_objects(s) == frozenset({"h0", "h1"})
@@ -461,8 +461,8 @@ def test_search_memory_stays_in_blocks():
     _assert_search_memory_in_blocks(_soft_set(rng.random((1000, 16)).round(2)))
 
 
-def test_search_memory_stays_in_blocks_on_clustered_rows():
-    # partition-shaped rows are summed in clusters of support groups, over each cluster's union
+def test_search_memory_stays_in_blocks_on_fuzzy_partition_rows():
+    # its six optimal rows touch 15 of the 16 parameters, so the 994 others are walked over 2^15 masks
     _assert_search_memory_in_blocks(_soft_set(_partition_degrees(np.random.default_rng(3), 1000, 16)))
 
 
@@ -498,8 +498,8 @@ def _brute_minimal(flags):
     return np.flatnonzero(flags & ~ruled_out)
 
 
-def test_packed_minimality_equals_a_brute_force_for_every_width_up_to_12():
-    # below m = 6 the flags fill part of one word; m = 6 and 7 are one and two whole words
+def test_minimality_equals_a_brute_force_for_every_width_up_to_12():
+    # along bit b the flags pair runs of 2^b masks, from neighbours at b = 0 to halves at b = m - 1
     rng = np.random.default_rng(1812)
     for m in range(1, 13):
         size = 1 << m
@@ -514,25 +514,12 @@ def test_packed_minimality_equals_a_brute_force_for_every_width_up_to_12():
     assert _minimal_masks(np.arange(1 << 7) == 127).tolist() == [127]
 
 
-def _spy_spread(monkeypatch):
-    """Record the rows, union and side of every ``_spread`` call."""
-    calls = []
-    spread = reduction._spread
-
-    def spy(degrees, support, with_min):
-        calls.append((degrees.copy(), support, with_min))
-        return spread(degrees, support, with_min)
-
-    monkeypatch.setattr(reduction, "_spread", spy)
-    return calls
-
-
-def _two_cluster_degrees(rng):
-    """Ten parameters; the target rows sum to 1.0 on supports {0,1,2} and {1,2,3}
-    (one cluster) and {6,7,8} and {7,8,9} (another), four rows each, one of
-    them eps / 2 less. A -0.0 cell sits in parameter 3 of the {0,1,2} rows,
-    inside their cluster's union but outside their support. The other rows
-    sum to less, on windows between the clusters, and one trails the best by
+def _two_window_degrees(rng):
+    """Ten parameters; the target rows sum to 1.0 on supports {0,1,2}, {1,2,3},
+    {6,7,8} and {7,8,9}, four rows each, one of them eps / 2 less. A -0.0
+    cell sits in parameter 3 of the {0,1,2} rows, inside the searched
+    parameters but outside those rows' support. The other rows
+    sum to less, on windows between the two, and one trails the best by
     2 eps. There are over 116 of them: the eight parameters the optimal rows
     touch are searched, and n * 2^8 sums fill more than one block."""
     rows = []
@@ -558,26 +545,16 @@ def _two_cluster_degrees(rng):
     return np.array(rows)[rng.permutation(len(rows))]
 
 
-def test_clusters_of_support_groups_equal_the_per_subset_reference(monkeypatch):
+def test_optimal_rows_on_two_windows_over_several_blocks_equal_the_per_subset_reference():
     rng = np.random.default_rng(1818)
-    calls = _spy_spread(monkeypatch)
     for _ in range(20):
-        degrees = _two_cluster_degrees(rng)
+        degrees = _two_window_degrees(rng)
         s = _soft_set(degrees)
         assert len(optimal_objects(s)) == 16
+        # the search sees parameters 0-3 and 6-9 only, and the other rows' sums fill several blocks
         assert len(degrees) << 8 > _BLOCK_CELLS
-        calls.clear()
+        assert np.signbit(degrees[:, 3]).any()
         assert find_reductions(s) == per_subset_reductions(s)
-        # the search sees parameters 0-3 and 6-9 only; each union bit k stands for searched[k]
-        searched = [0, 1, 2, 3, 6, 7, 8, 9]
-        target_calls = [(rows, sum(1 << searched[k] for k in range(8) if union >> k & 1))
-                        for rows, union, with_min in calls if with_min]
-        # two target clusters, each merged from two support groups and summed over its union
-        assert sorted(union for _, union in target_calls) == [0b1111, 0b1111000000]
-        for rows, union in target_calls:
-            assert rows.shape[0] == 8
-            assert len({tuple(row != 0) for row in rows}) == 2
-        assert any(np.signbit(rows[:, 3]).any() for rows, _ in target_calls)
 
 
 def _benchmark_fine_spec_sets():
@@ -593,9 +570,7 @@ def _benchmark_fine_spec_sets():
 def test_fine_spec_variables_are_searched_over_their_optimal_rows_support(monkeypatch):
     # A count of work, not a timing: each variable is searched over the
     # parameters its optimal rows touch, three per optimal value (AGE has two,
-    # at two peaks), and 116 rows over 2^3 or 2^6 masks fill one block, so no
-    # cluster is summed on its own.
-    calls = _spy_spread(monkeypatch)
+    # at two peaks).
     shapes = []
     preserving_masks = reduction._preserving_masks
 
@@ -611,7 +586,6 @@ def test_fine_spec_variables_are_searched_over_their_optimal_rows_support(monkey
         searched[s.parameters[0].split("_")[0]] = list(shapes)
     assert searched == {"(AGE)": [(116, 6)], "(BMI)": [(116, 3)], "(INS)": [(116, 3)], "(LPN)": [(116, 3)],
                         "(ADP)": [(116, 3)]}
-    assert calls == []
 
 
 def test_every_object_optimal_makes_each_all_zero_column_a_reduct():
@@ -696,23 +670,3 @@ def test_search_over_the_optimal_support_equals_the_per_subset_reference():
         seen["disjoint optimal supports"] += any(a and b and not a & b for a in supports for b in supports)
         seen["columns left out"] += len(set().union(*supports)) < m
     assert min(seen.values()) >= 20, seen
-
-
-def test_one_block_and_grouped_routes_flag_the_same_subsets(monkeypatch):
-    # Below one block of sums every row goes to its side's full-support group;
-    # with the block size at 0 the same inputs take the grouped route.
-    rng = np.random.default_rng(1920)
-    inputs = [_partition_degrees(rng, int(rng.integers(2, 60)), int(rng.integers(1, 10))) for _ in range(60)]
-    inputs += [_narrow_optimal_degrees(rng, int(rng.integers(2, 60)), int(rng.integers(1, 10))) for _ in range(60)]
-    flags = []
-    for degrees in inputs:
-        f = choice_values(_soft_set(degrees))
-        in_target = f >= f.max() - TIE_EPSILON
-        assert len(degrees) << degrees.shape[1] <= _BLOCK_CELLS
-        flags.append((reduction._preserving_masks(degrees, in_target), in_target))
-    calls = _spy_spread(monkeypatch)
-    monkeypatch.setattr(reduction, "_BLOCK_CELLS", 0)
-    for degrees, (one_block, in_target) in zip(inputs, flags):
-        assert reduction._preserving_masks(degrees, in_target).tolist() == one_block.tolist()
-    assert sum(with_min for _, _, with_min in calls) >= 60
-    assert sum(not with_min for _, _, with_min in calls) >= 60
