@@ -8,10 +8,11 @@ object's score is its row sum minus its column sum; scores above the
 threshold are called high-risk.
 
 The published end-to-end result (70% accuracy on the ten-patient cohort)
-flows through the study's own 72-column product table, which is kept as an
-opaque fixture because it cannot be rebuilt from the study's variable
-definitions. Rebuilding the product from the formulas instead is one flag
-away and happens to score better.
+flows through the study's own 72-column product table. That table is the max
+product of the study's printed per-variable tables over the partitions it
+kept, with LPN M and H folded into one factor, not the product of the
+formulas. Rebuilding the product from the formulas instead is one flag away
+and happens to score better.
 """
 from fuzzysoft import (
     builtin_table1,

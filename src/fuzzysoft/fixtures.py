@@ -1,13 +1,21 @@
 """Published reference tables for the ten-patient cohort study.
 
-Everything here is transcribed verbatim from the source study's printed
-tables, including cells that contradict the study's own membership formulas.
-These tables are verification fixtures and errata baselines only; none of the
-computational paths read results from them, with one deliberate exception:
-the 72-column product table. That table cannot be derived from the study's
-own variable definitions (the reduced parameter counts imply 108 columns,
-and its row values match no recomputation), so it is kept as an opaque input
-that the study-faithful scoring stage consumes.
+The per-variable, comparison and score tables are transcribed verbatim from
+the source study's printed tables, including cells that contradict the
+study's own membership formulas. They are verification fixtures and errata
+baselines only; none of the computational paths read results from them, with
+one deliberate exception: the 72-column product table that the
+study-faithful scoring stage consumes.
+
+The study's two printed product tables are not transcribed: each is, bit for
+bit, the max product of the printed per-variable tables. The 12-column one is
+AGE x BMI, whole. The 72-column one departs from the reduced sets the study
+states (AGE {M, O}, LPN {L, M}, the rest whole, which give 108 columns and
+keep BMI OI): it drops BMI OI and folds LPN M and H into one factor, their
+cellwise max. Each of its columns is a conjunction of one partition per
+marker, which is likely what the study's abstract calls its "fuzzy
+inference rules"; that reading is an inference, as only the abstract is at
+hand.
 """
 from __future__ import annotations
 
@@ -15,7 +23,8 @@ import numpy as np
 
 from .ingest import builtin_table1
 from .scoring import ComparisonTable
-from .softset import FuzzySoftSet
+from .softset import FuzzySoftSet, product, product_n, restrict
+from .variables import default_variable_specs
 
 __all__ = [
     "COHORT_IDS",
@@ -98,13 +107,7 @@ _PRINTED_TABLES = {
     ],
 }
 
-_PARAMETER_LABELS = {
-    "AGE": ("(AGE)_C", "(AGE)_Y", "(AGE)_M", "(AGE)_O"),
-    "BMI": ("(BMI)_OI", "(BMI)_OII", "(BMI)_OIII"),
-    "INS": ("(INS)_L", "(INS)_M", "(INS)_H"),
-    "LPN": ("(LPN)_L", "(LPN)_M", "(LPN)_H", "(LPN)_VH"),
-    "ADP": ("(ADP)_L", "(ADP)_M", "(ADP)_H"),
-}
+_PARAMETER_LABELS = {spec.name: tuple(spec.labels) for spec in default_variable_specs()}
 
 
 def published_variable_table(name: str) -> FuzzySoftSet | None:
@@ -120,100 +123,30 @@ def published_variable_tables() -> dict[str, FuzzySoftSet]:
     return {var: published_variable_table(var) for var in _PRINTED_TABLES}
 
 
-# Printed age/BMI product table (12 columns, age label varying slower).
-_AGE_BMI_PRODUCT = [
-    [0.00, 0.50, 0.00, 0.00, 0.50, 0.00, 0.00, 0.50, 0.00, 1.00, 1.00, 1.00],
-    [0.00, 0.50, 0.00, 0.00, 0.50, 0.00, 0.73, 0.73, 0.73, 0.00, 0.50, 0.00],
-    [0.00, 0.00, 0.80, 0.00, 0.00, 0.80, 0.00, 0.00, 0.80, 0.93, 0.93, 0.93],
-    [0.00, 0.00, 1.00, 0.00, 0.00, 1.00, 0.00, 0.00, 1.00, 1.00, 1.00, 1.00],
-    [0.00, 0.83, 0.00, 0.00, 0.83, 0.00, 0.00, 0.83, 0.00, 1.00, 1.00, 1.00],
-    [0.00, 0.33, 0.00, 0.00, 0.33, 0.00, 0.00, 0.33, 0.00, 0.80, 0.80, 0.80],
-    [0.00, 0.80, 0.00, 0.00, 0.80, 0.00, 0.93, 0.93, 0.93, 0.00, 0.80, 0.00],
-    [0.00, 0.83, 0.00, 0.00, 0.83, 0.00, 0.00, 0.83, 0.00, 1.00, 1.00, 1.00],
-    [0.00, 0.35, 0.24, 0.00, 0.35, 0.24, 0.00, 0.35, 0.24, 1.00, 1.00, 1.00],
-    [0.00, 0.00, 0.96, 0.00, 0.00, 0.96, 0.20, 0.20, 0.96, 0.46, 0.46, 0.96],
-]
-
-
 def published_age_bmi_product() -> FuzzySoftSet:
     """The printed max-combined product of the age and BMI tables."""
-    labels = tuple(
-        f"{a}×{b}" for a in _PARAMETER_LABELS["AGE"] for b in _PARAMETER_LABELS["BMI"]
-    )
-    return FuzzySoftSet(COHORT_IDS, labels, np.array(_AGE_BMI_PRODUCT, dtype=float))
-
-
-# The opaque 72-column product table, row per cohort object, columns labeled
-# positionally in the study's own style.
-_PRODUCT_72 = {
-    "μ_3":
-        "0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 0.50 "
-        "0.50 0.50 0.50 0.17 0.17 0.48 0.16 0.16 0.48 0.42 0.42 0.48 0.42 0.42 0.48 "
-        "0.17 0.17 0.48 0.16 0.16 0.48 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00",
-    "μ_11":
-        "0.73 0.73 1.00 0.73 0.73 1.00 0.76 0.76 1.00 0.76 0.76 1.00 0.73 0.73 1.00 "
-        "0.73 0.73 1.00 0.73 0.73 1.00 0.73 0.73 1.00 0.76 0.76 1.00 0.76 0.76 1.00 "
-        "0.73 0.73 1.00 0.73 0.73 1.00 0.50 0.50 1.00 0.62 0.62 1.00 0.76 0.76 1.00 "
-        "0.76 0.76 1.00 0.50 0.50 1.00 0.62 0.62 1.00 0.00 0.00 1.00 0.62 0.62 1.00 "
-        "0.76 0.76 1.00 0.76 0.76 1.00 0.00 0.00 1.00 0.62 0.62 1.00",
-    "μ_19":
-        "0.64 0.11 0.11 0.64 0.41 0.41 0.64 0.40 0.40 0.64 0.41 0.41 0.64 0.00 0.00 "
-        "0.64 0.41 0.41 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 "
-        "0.80 0.80 0.80 0.80 0.80 0.80 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 "
-        "0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 "
-        "0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93",
-    "μ_31":
-        "0.35 0.06 0.00 0.64 0.64 0.64 0.35 0.06 0.00 0.64 0.64 0.64 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00",
-    "μ_45":
-        "0.83 0.83 0.83 0.99 0.99 0.99 0.83 0.83 0.83 0.99 0.99 0.99 0.83 0.83 0.83 "
-        "0.99 0.99 0.99 0.26 0.14 0.00 0.99 0.99 0.99 0.47 0.47 0.47 0.99 0.99 0.99 "
-        "0.26 0.14 0.14 0.99 0.99 0.99 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00",
-    "μ_60":
-        "0.68 0.68 0.68 0.43 0.53 0.43 0.68 0.68 0.68 0.33 0.53 0.33 0.68 0.68 0.68 "
-        "0.33 0.53 0.33 0.68 0.68 0.68 0.43 0.53 0.43 0.68 0.68 0.68 0.13 0.53 0.13 "
-        "0.68 0.68 0.68 0.00 0.53 0.00 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 "
-        "0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 "
-        "0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80 0.80",
-    "μ_71":
-        "0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 0.93 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 0.80 0.86 0.80 0.80 0.86 0.80 0.80 0.86 0.80 "
-        "0.80 0.86 0.80 1.00 1.00 1.00 1.00 1.00 1.00 0.00 0.86 0.00 0.21 0.86 0.21 "
-        "0.00 0.86 0.00 0.21 0.86 0.21 1.00 1.00 1.00 1.00 1.00 1.00",
-    "μ_82":
-        "0.83 0.83 0.83 0.83 0.83 0.83 0.83 0.83 0.83 0.83 0.83 0.83 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 0.65 0.06 0.06 0.65 0.27 0.27 0.65 0.06 0.06 0.65 0.27 0.27 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00",
-    "μ_91":
-        "0.35 0.36 0.35 0.89 0.89 0.89 0.35 0.36 0.35 0.89 0.89 0.89 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 0.24 0.36 0.24 0.89 0.89 0.89 0.24 0.36 0.24 0.89 0.89 0.89 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00 1.00",
-    "μ_104":
-        "1.00 0.20 0.20 1.00 0.78 0.78 1.00 0.20 0.20 1.00 0.78 0.78 1.00 1.00 1.00 "
-        "1.00 1.00 1.00 1.00 0.96 0.96 1.00 0.96 0.96 1.00 0.96 0.96 1.00 0.96 0.96 "
-        "1.00 1.00 1.00 1.00 1.00 1.00 1.00 0.46 0.46 1.00 0.78 0.78 1.00 0.46 0.46 "
-        "1.00 0.78 0.78 1.00 1.00 1.00 1.00 1.00 1.00 1.00 0.96 0.96 1.00 0.96 0.96 "
-        "1.00 0.96 0.96 1.00 0.96 0.96 1.00 1.00 1.00 1.00 1.00 1.00",
-}
+    return product(published_variable_table("AGE"), published_variable_table("BMI"), "max")
 
 
 def published_product_table() -> FuzzySoftSet:
-    """The opaque 72-column product table feeding the study-faithful scoring."""
-    degrees = np.array([[float(v) for v in _PRODUCT_72[oid].split()] for oid in COHORT_IDS])
-    labels = tuple(f"€{k}" for k in range(1, 73))
-    return FuzzySoftSet(COHORT_IDS, labels, degrees)
+    """The study's 72-column product table, labeled €1..€72 in its own style.
+
+    The max product of the printed tables, AGE varying slowest, over
+    AGE {M, O}, BMI {OII, OIII}, INS, LPN as L and the cellwise max of M and
+    H, and ADP.
+    """
+    t = published_variable_tables()
+    lpn = t["LPN"].degrees
+    lpn_folded = np.stack([lpn[:, 0], np.maximum(lpn[:, 1], lpn[:, 2])], axis=1)
+    factors = [
+        restrict(t["AGE"], ["(AGE)_M", "(AGE)_O"]),
+        restrict(t["BMI"], ["(BMI)_OII", "(BMI)_OIII"]),
+        t["INS"],
+        FuzzySoftSet(COHORT_IDS, ("(LPN)_L", "(LPN)_MH"), lpn_folded),
+        t["ADP"],
+    ]
+    degrees = product_n(factors, "max").degrees
+    return FuzzySoftSet(COHORT_IDS, tuple(f"€{k}" for k in range(1, 73)), degrees)
 
 
 # Printed pairwise comparison counts (rows and columns in cohort order).

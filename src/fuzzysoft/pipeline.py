@@ -18,8 +18,9 @@ leaves no partial outputs.
 The scored product table has two possible sources. "computed" rebuilds it
 from the variable definitions (after the optional per-variable reduction).
 "published" uses the study's own 72-column product table, which is the only
-way to reproduce the published end-to-end result: that table is not derivable
-from the study's variable definitions, so it ships as an opaque fixture.
+way to reproduce the published end-to-end result. That table is derived from
+the study's printed per-variable tables, not from the formulas, and it
+departs from the study's stated reduced sets (see ``fixtures``).
 "auto" (the default) picks "published" exactly when the configuration is
 study-faithful (built-in cohort, default variables, max combiner, count mode)
 and "computed" otherwise.
@@ -195,6 +196,7 @@ def _atomic_write(out_dir: Path, outputs: Iterable[tuple[str, Iterable[bytes]]],
             tmps[name] = out_dir / f"{name}.tmp"
             with open(tmps[name], "wb") as fh:
                 fh.writelines(chunks)
+        # replaced over the old file, so a reader sees the old output or the new, never a gap
         for name, tmp in tmps.items():
             os.replace(tmp, out_dir / name)
             files[name] = out_dir / name

@@ -32,6 +32,7 @@ REDUCTION = ("tests/test_reduction.py",)
 SCORING = ("tests/test_scoring.py",)
 CLI = ("tests/test_cli.py",)
 PIPELINE = ("tests/test_pipeline.py",)
+VERIFY = ("tests/test_verify.py",)
 
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the documented tolerances, pinned by cases with a 5e-9 gap
@@ -69,6 +70,10 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("pipeline.py", "if isinstance(exc, OSError):", "if False:", PIPELINE),
     # auto scores the published table only in the mode it was scored with
     ("pipeline.py", ' and cfg.mode == "count"', "", CLI),
+    # the study's 72-column product: LPN M and H folded, max-combined, AGE {M, O}
+    ("fixtures.py", "np.maximum(lpn[:, 1], lpn[:, 2])", "lpn[:, 1]", VERIFY),
+    ("fixtures.py", 'product_n(factors, "max")', 'product_n(factors, "min")', VERIFY),
+    ("fixtures.py", '["(AGE)_M", "(AGE)_O"]', '["(AGE)_Y", "(AGE)_O"]', VERIFY),
     # a -0.0 cell is written as its own text
     ("softset.py", "fmt(-0.0)", "fmt(0.0)", ("tests/test_softset.py",)),
     # a membership curve's left tail is the left one

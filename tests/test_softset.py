@@ -83,7 +83,7 @@ def test_product_n_rejects_empty_list():
 
 
 def test_product_n_column_count_for_reduced_label_sets(computed_sets):
-    # the study's own reduced label sets have sizes 2, 3, 3, 2, 3, so the
+    # the study's stated reduced label sets have sizes 2, 3, 3, 2, 3, so the
     # n-ary product must carry 2*3*3*2*3 = 108 parameters
     reduced = [
         restrict(computed_sets["AGE"], {"(AGE)_M", "(AGE)_O"}),

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from fuzzysoft.fixtures import (
     published_variable_table,
     published_variable_tables,
 )
+from fuzzysoft.softset import product
 from fuzzysoft.verify import errata_cells
 
 
@@ -42,13 +44,25 @@ def test_each_printed_table_is_built_alone(monkeypatch, computed_sets):
     assert built == [tables["AGE"].parameters]  # the named table only, and none for an unknown name
 
 
-def test_published_product_is_max_of_published_inputs():
-    # the printed 12-column table is internally consistent with the printed
-    # age and BMI tables under the max combiner
+def _two_decimal_sha256(s):
+    text = "\n".join(" ".join(f"{v:.2f}" for v in row) for row in s.degrees.tolist())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_derived_product_tables_match_the_transcribed_ones():
+    # sha256 of the two-decimal text of the study's printed product tables,
+    # recorded from their transcription before it was replaced by derivation
+    assert _two_decimal_sha256(published_age_bmi_product()) == (
+        "e0b8f8d3f4df59d585b5db31afa1e9bdcc9db2749c13b1b75726ba750a80d144"
+    )
+    assert _two_decimal_sha256(published_product_table()) == (
+        "723c907e0ca62b7b27cecd3d8a43d2d7290595b39586d115786d928b2ad2b5b2"
+    )
+    # the printed AGE x BMI product is max-combined: min differs in 64 of its 120 cells,
+    # which is why the published product source refuses other combiners
     tables = published_variable_tables()
-    age, bmi = tables["AGE"].degrees, tables["BMI"].degrees
-    recombined = np.maximum(age[:, :, None], bmi[:, None, :]).reshape(10, 12)
-    assert np.allclose(recombined, published_age_bmi_product().degrees, atol=1e-12)
+    by_min = product(tables["AGE"], tables["BMI"], "min")
+    assert int((by_min.degrees != published_age_bmi_product().degrees).sum()) == 64
 
 
 def test_published_comparison_diagonal():
