@@ -9,11 +9,9 @@ and tool version. Every output is UTF-8 bytes from the moment it is rendered:
 the small texts are encoded once, and every numeric CSV grid (the fuzzy and
 product tables, ``comparison.csv`` and the curves) is ``softset.grid_chunks``
 bytes, rendered one block of rows at a time while it is written to
-``<name>.tmp``, with no decoding or re-encoding on the way: at n = 1000 with
-432 product columns a run's traced peak allocation is about 10 MB (Python
-3.11, numpy 2.4). The temps are renamed only once all are complete. If
-anything raises, they and any renamed outputs are deleted, so a failing run
-leaves no partial outputs.
+``<name>.tmp``, with no decoding or re-encoding on the way. The temps are
+renamed only once all are complete. If anything raises, they and any
+renamed outputs are deleted, so a failing run leaves no partial outputs.
 
 The scored product table has two possible sources. "computed" rebuilds it
 from the variable definitions (after the optional per-variable reduction).
@@ -101,13 +99,21 @@ class PipelineConfig:
     product_source: str = "auto"
 
     def validate(self) -> None:
+        for what, value, types, kind in (
+            ("data source", self.data_source, str, "a string"),
+            ("spec path", self.spec_path, (str, type(None)), "a string or None"),
+            ("threshold", self.threshold, (int, float), "a number"),
+            ("round digits", self.round_digits, int, "an integer"),
+        ):
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{what} must be {kind}, got {value!r}")
         for what, value, allowed in (
             ("combiner", self.combiner, COMBINERS),
             ("mode", self.mode, MODES),
             ("reduction", self.reduction, REDUCTIONS),
             ("product source", self.product_source, PRODUCT_SOURCES),
         ):
-            if value not in allowed:
+            if value not in tuple(allowed):  # a dict's membership test hashes the value
                 raise ConfigError(f"{what} must be one of {tuple(allowed)}, got {value!r}")
         if not (self.threshold == self.threshold and abs(self.threshold) != float("inf")):
             raise ConfigError(f"threshold must be finite, got {self.threshold}")
@@ -323,6 +329,8 @@ def emit_curves(
     over the variable's display range, written by ``grid_chunks`` with x as
     the row ID. These files replace the study's curve figures with plot-ready data.
     """
+    if isinstance(samples_per_curve, bool) or not isinstance(samples_per_curve, int):
+        raise ConfigError(f"samples per curve must be an integer, got {samples_per_curve!r}")
     if samples_per_curve < 2:
         raise ConfigError(f"samples per curve must be at least 2, got {samples_per_curve}")
     if samples_per_curve > _MAX_CURVE_SAMPLES:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import islice
+from functools import cached_property, partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -50,9 +50,9 @@ class Levels(NamedTuple):
 
     -0.0 and 0.0 are one level, held as 0.0, so a cell's text cannot be read
     from its code alone. ``_levels`` gives int16 codes below 2**15 levels (so
-    one more index still fits), int32 otherwise. A product's levels are its
-    operands' merged, so they may hold degrees no cell takes. A count table's
-    levels are 0..m, each count its own code.
+    one more index still fits), int32 otherwise. ``product_n`` merges all its
+    operands' levels once, so a product's levels may hold degrees no cell
+    takes. A count table's levels are 0..m, each count its own code.
     """
 
     values: np.ndarray
@@ -97,7 +97,7 @@ class FuzzySoftSet:
 
     @cached_property
     def levels(self) -> Levels:
-        """The set's ``Levels``, found by one sort on first use (``product`` fills them in)."""
+        """The set's ``Levels``, found by one sort on first use (``product_n`` fills them in)."""
         return _levels(self.degrees)
 
     def degree(self, object_id: str, parameter: str) -> float:
@@ -138,32 +138,37 @@ def _frozen_levels(values: np.ndarray, codes: np.ndarray) -> Levels:
 
 
 def product(a: FuzzySoftSet, b: FuzzySoftSet, combiner: str = "max") -> FuzzySoftSet:
-    """Parameter-product of two fuzzy soft sets over a shared universe.
+    """Parameter-product of two fuzzy soft sets: ``product_n((a, b), combiner)``."""
+    return product_n((a, b), combiner)
 
-    The result has one column per (pa, pb) pair in row-major order (a's label
-    varies slower), labeled "pa{x}pb", and cell value combiner(a[o,pa], b[o,pb])
-    with combiner "min" (classical AND) or "max".
 
-    The result arrives with its levels: max and min commute with an
-    order-preserving code, so the operands' codes, mapped onto their merged
-    levels, are combined the same way instead of sorting the product.
+def product_n(sets: Sequence[FuzzySoftSet], combiner: str = "max") -> FuzzySoftSet:
+    """Parameter-product of one or more fuzzy soft sets over a shared universe.
+
+    One column per tuple of the operands' labels, row-major (the first
+    operand's label varies slowest), labeled by joining the tuple with "×";
+    each cell folds combiner "min" (classical AND) or "max" over the
+    operands' degrees, left to right. The result arrives with its levels:
+    max and min commute with an order-preserving code, so all operands'
+    levels are merged once, and each operand's codes, mapped onto the merge
+    once, are folded as the degrees are instead of sorting the product.
     """
-    if a.universe != b.universe:
-        raise ValueError(
-            f"universe mismatch: {a.universe} vs {b.universe} (same IDs in the same order required)"
-        )
+    if not sets:
+        raise ValueError("product_n needs at least one fuzzy soft set")
+    universe = sets[0].universe
+    for s in sets[1:]:
+        if s.universe != universe:
+            raise ValueError(f"universe mismatch: {universe} vs {s.universe} (same IDs in the same order required)")
     try:
         combine = COMBINERS[combiner]
     except KeyError:
         raise ValueError(f"combiner must be one of {list(COMBINERS)}, got {combiner!r}") from None
-    labels = tuple(
-        f"{pa}{PRODUCT_SEPARATOR}{pb}" for pa in a.parameters for pb in b.parameters
-    )
-    out = FuzzySoftSet(a.universe, labels, _combine_columns(combine, a.degrees, b.degrees))
-    values = _distinct(np.concatenate((a.levels.values, b.levels.values)))
-    code = _code_dtype(len(values))
-    ca, cb = (values.searchsorted(s.levels.values).astype(code)[s.levels.codes] for s in (a, b))
-    vars(out)["levels"] = _frozen_levels(values, _combine_columns(combine, ca, cb))  # seeds the cached property
+    fold = partial(reduce, partial(_combine_columns, combine))  # left to right over the operands
+    labels = tuple(map(PRODUCT_SEPARATOR.join, itertools.product(*(s.parameters for s in sets))))
+    out = FuzzySoftSet(universe, labels, fold([s.degrees for s in sets]))
+    values = _distinct(np.concatenate([s.levels.values for s in sets]))
+    codes = fold([values.searchsorted(s.levels.values).astype(_code_dtype(len(values)))[s.levels.codes] for s in sets])
+    vars(out)["levels"] = _frozen_levels(values, codes)  # seeds the cached property
     return out
 
 
@@ -177,13 +182,6 @@ def _combine_columns(combine: Callable, x: np.ndarray, y: np.ndarray) -> np.ndar
     for j in range(y.shape[1]):
         combine(x, y[:, j : j + 1], out=out[:, :, j])
     return out.reshape(x.shape[0], -1)
-
-
-def product_n(sets: Sequence[FuzzySoftSet], combiner: str = "max") -> FuzzySoftSet:
-    """Left fold of ``product`` over one or more fuzzy soft sets."""
-    if not sets:
-        raise ValueError("product_n needs at least one fuzzy soft set")
-    return reduce(lambda acc, s: product(acc, s, combiner), sets)
 
 
 def restrict(s: FuzzySoftSet, keep: Iterable[str]) -> FuzzySoftSet:
@@ -278,7 +276,7 @@ def _text_blocks(
     ids = iter(ids)
     for start in range(0, n_rows, step):
         # draws only this block's IDs; rows past the last ID are dropped
-        heads = [csv_field(oid) or empty_id for oid in islice(ids, min(step, n_rows - start))]
+        heads = [csv_field(oid) or empty_id for oid in itertools.islice(ids, min(step, n_rows - start))]
         block = grid[start : start + len(heads)]
         if levels is None:
             values, index = _levels(block)

@@ -128,24 +128,19 @@ def _check_age_bmi_product(sets: dict[str, FuzzySoftSet]) -> CheckResult:
 
 
 def _check_score_table(report: ScoreReport) -> CheckResult:
-    details = []
-    exact = True
-    for oid, printed_triple in fixtures.PUBLISHED_SCORE_ROWS.items():
-        got = report.triple(oid)
-        if got != printed_triple:
-            exact = False
-            details.append(f"{oid}: computed {got} vs printed {printed_triple}")
+    details = [
+        f"{oid}: computed {report.triple(oid)} vs printed {printed}"
+        for oid, printed in fixtures.PUBLISHED_SCORE_ROWS.items()
+        if report.triple(oid) != printed
+    ]
     total = int(report.scores.sum())
     if total != 0:
-        exact = False
         details.append(f"scores sum to {total}, expected 0")
     return CheckResult(
         name="score-table",
-        passed=exact,
+        passed=not details,
         hard=True,
-        summary="all ten (row sum, column sum, score) triples exact; scores sum to 0"
-        if exact
-        else "score table mismatch",
+        summary="score table mismatch" if details else "all ten (row sum, column sum, score) triples exact; scores sum to 0",
         details=details,
     )
 
@@ -159,12 +154,11 @@ def _check_comparison_consistency() -> CheckResult:
     agree = (computed.counts == printed.counts) & off
     n_agree, n_off = int(agree.sum()), int(off.sum())
     rate = n_agree / n_off
-    details = []
-    for i, j in np.argwhere((computed.counts != printed.counts) & off):
-        details.append(
-            f"({computed.universe[i]}, {computed.universe[j]}): "
-            f"computed {computed.counts[i, j]} vs printed {printed.counts[i, j]}"
-        )
+    details = [
+        f"({computed.universe[i]}, {computed.universe[j]}): "
+        f"computed {computed.counts[i, j]} vs printed {printed.counts[i, j]}"
+        for i, j in np.argwhere(off & ~agree)
+    ]
     return CheckResult(
         name="comparison-consistency",
         passed=diag_ok and rate >= _CONSISTENCY_BAR,

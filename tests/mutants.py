@@ -33,6 +33,8 @@ SCORING = ("tests/test_scoring.py",)
 CLI = ("tests/test_cli.py",)
 PIPELINE = ("tests/test_pipeline.py",)
 VERIFY = ("tests/test_verify.py",)
+PROPERTIES = ("tests/test_properties.py",)
+SOFTSET = ("tests/test_softset.py",)
 
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the documented tolerances, pinned by cases with a 5e-9 gap
@@ -74,8 +76,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("fixtures.py", "np.maximum(lpn[:, 1], lpn[:, 2])", "lpn[:, 1]", VERIFY),
     ("fixtures.py", 'product_n(factors, "max")', 'product_n(factors, "min")', VERIFY),
     ("fixtures.py", '["(AGE)_M", "(AGE)_O"]', '["(AGE)_Y", "(AGE)_O"]', VERIFY),
+    # the product merges every operand's levels, folds the codes with its own combiner,
+    # and lays out its labels row-major with the first operand slowest
+    ("softset.py", "np.concatenate([s.levels.values for s in sets])",
+     "np.concatenate([s.levels.values for s in sets[:2]])", PROPERTIES),
+    ("softset.py", "codes = fold(", "codes = reduce(partial(_combine_columns, np.maximum), ", PROPERTIES),
+    ("softset.py", "itertools.product(*(s.parameters for s in sets))",
+     "itertools.product(*(s.parameters for s in sets[::-1]))", (*PROPERTIES, *SOFTSET)),
     # a -0.0 cell is written as its own text
-    ("softset.py", "fmt(-0.0)", "fmt(0.0)", ("tests/test_softset.py",)),
+    ("softset.py", "fmt(-0.0)", "fmt(0.0)", SOFTSET),
     # a membership curve's left tail is the left one
     ("membership.py", "left=self.left_tail, right=self.right_tail", "left=self.right_tail, right=self.left_tail",
      ("tests/test_membership.py",)),

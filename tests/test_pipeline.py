@@ -5,12 +5,14 @@ import io
 import itertools
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fuzzysoft import DatasetSchema, from_table, pipeline, softset
+from fuzzysoft import ConfigError, DatasetSchema, from_table, pipeline, softset
 from fuzzysoft.cli import main
-from fuzzysoft.pipeline import PipelineConfig, run_pipeline
+from fuzzysoft.pipeline import PipelineConfig, emit_curves, run_pipeline
 
 # Files whose rows a run renders in row blocks, in the order they are written.
 BLOCK_RENDERED = ("comparison.csv", "fuzzy_ADP.csv", "fuzzy_AGE.csv", "fuzzy_BMI.csv",
@@ -136,6 +138,28 @@ def test_every_field_but_the_output_location_moves_the_hash():
     for name, value in changed.items():
         assert replace(base, **{name: value}).hash() != base.hash(), name
     assert replace(base, out_dir="elsewhere").hash() == base.hash()
+
+
+@pytest.mark.parametrize("command, kwargs", [
+    ("run", {"mode": "difference", "round_digits": 2.5}),
+    ("run", {"round_digits": np.int64(2)}),
+    ("run", {"round_digits": True}),
+    ("run", {"data_source": Path("cohort.csv")}),
+    ("run", {"spec_path": Path("spec.json")}),
+    ("run", {"threshold": "0"}),
+    ("run", {"threshold": None}),
+    ("run", {"combiner": ["max"]}),
+    ("curves", {"samples_per_curve": 5.5}),
+    ("curves", {"samples_per_curve": np.int64(5)}),
+], ids=repr)
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, command, kwargs):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"must be (an? (string|number|integer)|one of)"):
+        if command == "run":
+            run_pipeline(PipelineConfig(out_dir=str(out), **kwargs))
+        else:
+            emit_curves(out_dir=out, **kwargs)
+    assert not out.exists()
 
 
 def _csv_rows(path):

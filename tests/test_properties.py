@@ -1,18 +1,27 @@
 """Property-based tests for the algebraic invariants."""
+import itertools
+from functools import reduce
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzysoft import (
     FuzzySoftSet,
+    builtin_table1,
     comparison_table,
+    default_variable_specs,
     find_reductions,
+    fuzzify_cohort,
     make_piecewise,
     optimal_objects,
     product,
+    product_n,
     restrict,
     scores,
 )
+from fuzzysoft.softset import COMBINERS, PRODUCT_SEPARATOR
 
 degrees_strategy = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -84,6 +93,68 @@ def test_product_min_below_max(pair):
     assert np.all(lo.degrees <= hi.degrees)
     assert lo.universe == hi.universe == a.universe
     assert lo.degrees.min() >= 0.0 and hi.degrees.max() <= 1.0
+
+
+# Both zeros, the smallest subnormal, and 1.0 with its predecessor; cells drawn
+# from this pool repeat, so operands share levels and products hold ties.
+_PRODUCT_DEGREES = (0.0, -0.0, 5e-324, 0.25, 0.5, 1.0 - 2**-53, 1.0)
+
+
+@st.composite
+def product_operands(draw):
+    """1-4 sets of 1-4 parameters each over one universe of 1-6 objects."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    universe = tuple(f"h{i}" for i in range(n))
+    sets = []
+    for k in range(draw(st.integers(min_value=1, max_value=4))):
+        m = draw(st.integers(min_value=1, max_value=4))
+        cells = draw(st.lists(st.sampled_from(_PRODUCT_DEGREES), min_size=n * m, max_size=n * m))
+        sets.append(FuzzySoftSet(universe, tuple(f"s{k}p{j}" for j in range(m)), np.array(cells).reshape(n, m)))
+    return sets
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(product_operands(), st.sampled_from(sorted(COMBINERS)))
+def test_product_n_equals_a_per_cell_reference(sets, combiner):
+    prod = product_n(sets, combiner)
+    combine = COMBINERS[combiner]
+    columns = list(itertools.product(*(range(len(s.parameters)) for s in sets)))
+    reference = np.array([
+        [reduce(combine, [s.degrees[i, j] for s, j in zip(sets, column)]) for column in columns]
+        for i in range(len(prod.universe))
+    ])
+    assert prod.degrees.tobytes() == reference.tobytes()
+    assert prod.parameters == tuple(
+        PRODUCT_SEPARATOR.join(s.parameters[j] for s, j in zip(sets, column)) for column in columns
+    )
+    # the levels are an order-preserving code of the degrees
+    values, codes = prod.levels
+    assert np.all(np.diff(values) > 0) and not np.signbit(values).any()
+    assert codes.dtype == np.int16 and np.array_equal(values[codes], prod.degrees)
+    c, d = codes.ravel().astype(int), prod.degrees.ravel()
+    assert np.array_equal(np.sign(c[:, None] - c[None, :]), np.sign(d[:, None] - d[None, :]))
+    # one set is checked like two: an unknown combiner is refused either way
+    with pytest.raises(ValueError) as single:
+        product_n(sets[:1], "avg")
+    with pytest.raises(ValueError) as pair:
+        product(sets[0], sets[0], "avg")
+    assert str(single.value) == str(pair.value)
+
+
+def test_product_n_of_five_sets_constructs_one_set(monkeypatch):
+    sets = fuzzify_cohort(builtin_table1(), default_variable_specs())
+    for s in sets:
+        s.levels  # cached before the count starts
+    built = []
+    post_init = FuzzySoftSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FuzzySoftSet, "__post_init__", counted)
+    prod = product_n(sets, "max")
+    assert len(sets) == 5 and len(built) == 1 and built[0] is prod
 
 
 @settings(max_examples=60)
