@@ -50,7 +50,7 @@ from .scoring import (
     report_to_csv,
     scores,
 )
-from .softset import COMBINERS, csv_field, grid_chunks, product_n, restrict, table_chunks
+from .softset import COMBINERS, FixedPoint, csv_field, grid_chunks, product_n, restrict, table_chunks
 
 # Not called here: tables are written from table_chunks. Kept as a name of
 # this module because perfbench/spans.py wraps every stage function by its
@@ -104,6 +104,7 @@ class PipelineConfig:
             ("spec path", self.spec_path, (str, type(None)), "a string or None"),
             ("threshold", self.threshold, (int, float), "a number"),
             ("round digits", self.round_digits, int, "an integer"),
+            ("output directory", self.out_dir, (str, os.PathLike), "a string or a path"),
         ):
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ConfigError(f"{what} must be {kind}, got {value!r}")
@@ -338,7 +339,7 @@ def emit_curves(
     if specs is None:
         specs = default_variable_specs()
     out = _prepare_out_dir(out_dir)
-    fmt = "{:.6f}".format
+    fmt = FixedPoint(6)
     outputs = []
     for spec in specs:
         xs = np.linspace(*spec.display_range, samples_per_curve)

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .softset import FuzzySoftSet, Levels, _code_dtype, csv_field
+from .softset import FixedPoint, FuzzySoftSet, Levels, _code_dtype, quoted_ids
 from .variables import HEALTHY_CONTROL, PATIENT
 
 __all__ = [
@@ -48,7 +48,7 @@ _PREDICTION_FOR_LABEL = {PATIENT: HIGH_RISK, HEALTHY_CONTROL: HEALTHY}
 
 def number_format(mode: str, decimals: int = 6) -> Callable[[object], str]:
     """Counts as integers, differences to ``decimals`` places, in tables and reports."""
-    return (lambda v: str(int(v))) if mode == "count" else f"{{:.{decimals}f}}".format
+    return (lambda v: str(int(v))) if mode == "count" else FixedPoint(decimals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,10 +286,11 @@ def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) 
     """CSV rendering: ``object,row_sum,column_sum,score,prediction,label``."""
     fmt = number_format(report.mode)
     lines = ["object,row_sum,column_sum,score,prediction,label"]
-    for oid, row_sum, column_sum, score in _score_rows(report):
+    quoted, _ = quoted_ids(tuple(report.universe))  # the run's quoted IDs, shared with its tables
+    for head, (oid, row_sum, column_sum, score) in zip(quoted, _score_rows(report)):
         pred = report.predictions.get(oid, "") if report.predictions else ""
         label = labels.get(oid, "") if labels else ""
-        lines.append(f"{csv_field(oid)},{fmt(row_sum)},{fmt(column_sum)},{fmt(score)},{pred},{label}")
+        lines.append(f"{head},{fmt(row_sum)},{fmt(column_sum)},{fmt(score)},{pred},{label}")
     return "\n".join(lines) + "\n"
 
 

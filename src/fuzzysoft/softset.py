@@ -15,7 +15,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -228,20 +228,59 @@ def _padded(encoded: list[bytes]) -> np.ndarray:
     return np.array([e.ljust(width, b"\xff") for e in encoded], dtype=f"S{width}")
 
 
-def _cell_texts(texts: Iterable[str]) -> np.ndarray:
-    """Each text after a comma, padded (see ``_padded``)."""
-    return _padded([b"," + t.encode() for t in texts])
+@lru_cache(maxsize=1)
+def quoted_ids(ids: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Row IDs as CSV cells: ``csv_field`` of each, and their UTF-8 bytes
+    padded (see ``_padded``), built once for every table of a run.
+
+    A run writes its IDs as the row heads of every grid, the header of the
+    comparison table and the rows of the score report; the cache, keyed by
+    the IDs themselves, quotes and encodes them once for all of them.
+    """
+    fields = tuple(map(csv_field, ids))
+    padded = _padded([f.encode() for f in fields])
+    padded.setflags(write=False)
+    return fields, padded
 
 
-def _block_text(heads: list[str], cells: np.ndarray, index: np.ndarray) -> bytes:
-    """The UTF-8 text of a block of rows: each row's head, its cells' texts
-    ``cells[index[row]]`` (see ``_cell_texts``), and a line feed.
+class FixedPoint:
+    """``'{:.<decimals>f}'.format`` as a callable, and ``texts``, the same
+    texts of a whole array at once."""
+
+    def __init__(self, decimals: int) -> None:
+        self.decimals = decimals
+        self._format = f"{{:.{decimals}f}}".format
+        self._format(0.0)  # a ValueError where the format refuses the decimals: negative, fractional, bool
+
+    def __call__(self, value: float) -> str:
+        return self._format(value)
+
+    def texts(self, values: np.ndarray, lead: bytes = b"") -> np.ndarray:
+        """``lead`` and each value's text in one fixed-width bytes array,
+        padded with 0xFF, by integer arithmetic (see ``_fixed_point``)."""
+        # here, not at import: where no bytecode is cached, compiling it and
+        # building its tables is about 0.5 ms of ``import fuzzysoft``
+        from ._fixed_point import fixed_point_texts
+
+        return fixed_point_texts(values, self.decimals, self._format, lead)
+
+
+def _cell_texts(fmt: Callable, values: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as ``fmt`` writes it, after a comma, padded (see ``_padded``)."""
+    if isinstance(fmt, FixedPoint):
+        return fmt.texts(values, lead=b",")
+    return _padded([b"," + fmt(v).encode() for v in values.tolist()])
+
+
+def _block_text(lead: np.ndarray, cells: np.ndarray, index: np.ndarray) -> bytes:
+    """The UTF-8 text of a block of rows: each row's head ``lead[row]``
+    (padded, see ``_padded``), its cells' texts ``cells[index[row]]`` (see
+    ``_cell_texts``), and a line feed.
 
     Every byte of the block is gathered into one fixed-width array and the
     padding is dropped, so no Python string exists per cell or per row, and
     the block is never decoded: it goes to disk as it is.
     """
-    lead = _padded([h.encode() for h in heads])
     width = lead.itemsize
     raw = np.empty((len(index), width + index.shape[1] * cells.itemsize + 1), dtype=np.uint8)
     raw[:, :width] = lead.view(np.uint8).reshape(len(index), width)
@@ -253,48 +292,48 @@ def _block_text(heads: list[str], cells: np.ndarray, index: np.ndarray) -> bytes
 
 
 def _text_blocks(
-    ids: Iterable[str], grid: np.ndarray, fmt: Callable, levels: Levels | None = None
+    ids: tuple[str, ...], grid: np.ndarray, fmt: Callable, levels: Levels | None = None
 ) -> Iterator[bytes]:
     """UTF-8 CSV rows of a 2-D numeric array, each led by its ID, one chunk
     per block of at most ``_FORMAT_BLOCK_CELLS`` cells.
 
-    A row is ``csv_field(id)``, then ``fmt(value)`` of each cell, joined by
-    commas; formatted numbers need no quoting. With no value columns an empty
-    ID is written ``""``, as the csv module writes a row of one empty cell, so
-    it does not read as a blank line.
+    A row is ``csv_field(id)`` (from the run's ``quoted_ids``), then
+    ``fmt(value)`` of each cell, joined by commas; formatted numbers need no
+    quoting. Rows past the last ID are dropped. With no value columns an
+    empty ID is written ``""``, as the csv module writes a row of one empty
+    cell, so it does not read as a blank line.
 
-    Cells become text one way: each level is formatted once and the cells
-    are looked up by code. The levels are the grid's ``levels`` where given
-    (a soft set's, or a count table's counts), else each block's own
-    (``_levels``). A float grid's -0.0 cells (``np.signbit`` on a zero) look
-    up one more text, so signed zeros keep their own text.
+    Cells become text one way: each level is formatted once (a ``FixedPoint``
+    formats them all at once) and the cells are looked up by code. The levels
+    are the grid's ``levels`` where given (a soft set's, or a count table's
+    counts), else each block's own (``_levels``). A float grid's -0.0 cells
+    (``np.signbit`` on a zero) look up one more text, so signed zeros keep
+    their own text.
     """
-    grid = np.ascontiguousarray(grid)
+    grid = np.ascontiguousarray(grid)[: len(ids)]
     n_rows, n_cols = grid.shape
     step = max(1, _FORMAT_BLOCK_CELLS // max(1, n_cols))
-    empty_id = "" if n_cols else '""'
-    ids = iter(ids)
+    fields, heads = quoted_ids(ids)
+    if not n_cols:
+        heads = _padded([(f or '""').encode() for f in fields])
     for start in range(0, n_rows, step):
-        # draws only this block's IDs; rows past the last ID are dropped
-        heads = [csv_field(oid) or empty_id for oid in itertools.islice(ids, min(step, n_rows - start))]
-        block = grid[start : start + len(heads)]
+        block = grid[start : start + step]
         if levels is None:
             values, index = _levels(block)
         else:
-            values, index = levels.values, levels.codes[start : start + len(heads)]
+            values, index = levels.values, levels.codes[start : start + step]
         if levels is None or start == 0:  # the grid's levels are formatted once
-            texts = list(map(fmt, values.tolist()))
-            cells = _cell_texts(texts)
+            cells = _cell_texts(fmt, values)
         # only float grids hold -0.0; a negative difference has the sign bit too
         if grid.dtype.kind == "f" and (signed := np.signbit(block)).any():
             signed &= block == 0
             if signed.any():
                 # the -0.0 text joins the table only once a cell needs it: a
                 # wider text pads every cell, and padding is slow to drop
-                if len(cells) == len(texts):
-                    cells = _cell_texts([*texts, fmt(-0.0)])
-                index = np.where(signed, len(texts), index)
-        yield _block_text(heads, cells, index)
+                if len(cells) == len(values):
+                    cells = _cell_texts(fmt, np.append(values, -0.0))
+                index = np.where(signed, len(values), index)
+        yield _block_text(heads[start : start + step], cells, index)
 
 
 def grid_chunks(
@@ -305,13 +344,19 @@ def grid_chunks(
     Header cells and IDs go through ``csv_field``, cells through their levels'
     texts (see ``_text_blocks``). Only one block's text exists at a time.
     """
-    yield (",".join(map(csv_field, header)) + "\n").encode()
+    header = tuple(header)
+    ids = tuple(itertools.islice(ids, len(grid)))
+    # a table of pairs (the comparison table) is headed by its rows' own IDs
+    if ids and header[1:] == ids:
+        yield (",".join((csv_field(header[0]), *quoted_ids(ids)[0])) + "\n").encode()
+    else:
+        yield (",".join(map(csv_field, header)) + "\n").encode()
     yield from _text_blocks(ids, grid, fmt, levels)
 
 
 def table_chunks(s: FuzzySoftSet, decimals: int | None = None) -> Iterator[bytes]:
     """The UTF-8 text of ``to_table(s, decimals)``: the header line, then one chunk per row block."""
-    fmt = repr if decimals is None else f"{{:.{decimals}f}}".format
+    fmt = repr if decimals is None else FixedPoint(decimals)
     # a generator, so s.levels is read only once its file is written
     yield from grid_chunks(("object", *s.parameters), s.universe, s.degrees, fmt, s.levels)
 

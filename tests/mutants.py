@@ -84,7 +84,16 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("softset.py", "itertools.product(*(s.parameters for s in sets))",
      "itertools.product(*(s.parameters for s in sets[::-1]))", (*PROPERTIES, *SOFTSET)),
     # a -0.0 cell is written as its own text
-    ("softset.py", "fmt(-0.0)", "fmt(0.0)", SOFTSET),
+    ("softset.py", "np.append(values, -0.0)", "np.append(values, 0.0)", SOFTSET),
+    # fixed-point texts: a scaled value near a half goes to Python's format, the sign
+    # sits in its own column, and an integer part's leading zeros are blank
+    ("_fixed_point.py", "fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52", "fast &= True", SOFTSET),
+    ("_fixed_point.py", "raw[:, len(lead)] = np.where(sign", "raw[:, len(lead) + 1] = np.where(sign", SOFTSET),
+    ("_fixed_point.py", "blanks += whole == 0", "pass", SOFTSET),
+    # the run's quoted IDs are cached by the IDs themselves, not by their count
+    ("softset.py", "@lru_cache(maxsize=1)\ndef quoted_ids(",
+     "@(lambda build: lambda ids, _cache={}: _cache.get(len(ids)) or _cache.setdefault(len(ids), build(ids)))\n"
+     "def quoted_ids(", PIPELINE),
     # a membership curve's left tail is the left one
     ("membership.py", "left=self.left_tail, right=self.right_tail", "left=self.right_tail, right=self.left_tail",
      ("tests/test_membership.py",)),

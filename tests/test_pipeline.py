@@ -1,8 +1,12 @@
 """Whole-run behaviour of ``run_pipeline``: memory, all-or-nothing writes, CSV quoting."""
+import collections
 import csv
 import errno
 import io
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -23,6 +27,16 @@ def _cohort_csv(path, csv_116, n):
     """The 116-row file's rows, cycled to ``n`` rows."""
     header, *rows = csv_116.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([header, *itertools.islice(itertools.cycle(rows), n)]) + "\n", encoding="utf-8")
+    return path
+
+
+def _named_cohort_csv(path, csv_116, ids):
+    """The 116-row file's first rows, each led by its ID from ``ids`` in a "Name" column."""
+    header, *rows = csv_116.read_text(encoding="utf-8").splitlines()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["Name", *header.split(",")])
+        writer.writerows([oid, *row.split(",")] for oid, row in zip(ids, rows))
     return path
 
 
@@ -149,6 +163,7 @@ def test_every_field_but_the_output_location_moves_the_hash():
     ("run", {"threshold": "0"}),
     ("run", {"threshold": None}),
     ("run", {"combiner": ["max"]}),
+    ("run", {"out_dir": 5}),
     ("curves", {"samples_per_curve": 5.5}),
     ("curves", {"samples_per_curve": np.int64(5)}),
 ], ids=repr)
@@ -156,7 +171,7 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, command, kw
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=r"must be (an? (string|number|integer)|one of)"):
         if command == "run":
-            run_pipeline(PipelineConfig(out_dir=str(out), **kwargs))
+            run_pipeline(PipelineConfig(**{"out_dir": str(out), **kwargs}))
         else:
             emit_curves(out_dir=out, **kwargs)
     assert not out.exists()
@@ -170,12 +185,7 @@ def _csv_rows(path):
 
 def test_every_csv_output_quotes_ids(tmp_path, csv_116, monkeypatch):
     ids = ["p0,x", 'q"1', "#r", "s\nt", "plain"]
-    header, *rows = csv_116.read_text(encoding="utf-8").splitlines()
-    data = tmp_path / "named.csv"
-    with open(data, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["Name", *header.split(",")])
-        writer.writerows([oid, *row.split(",")] for oid, row in zip(ids, rows))
+    data = _named_cohort_csv(tmp_path / "named.csv", csv_116, ids)
     # the CLI has no schema flag; a run takes the module default schema
     monkeypatch.setattr(pipeline, "DEFAULT_SCHEMA", DatasetSchema(id_column="Name"))
     out = tmp_path / "out"
@@ -190,3 +200,52 @@ def test_every_csv_output_quotes_ids(tmp_path, csv_116, monkeypatch):
     assert {len(row) for row in scores} == {6}
     for name in ("product.csv", "fuzzy_AGE.csv"):
         assert from_table((out / name).read_text(encoding="utf-8")).universe == tuple(ids)
+
+
+def test_a_run_quotes_each_id_once(tmp_path, csv_116, monkeypatch):
+    # IDs no other test uses, so no earlier run has quoted them
+    ids = [f"once,{i}" for i in range(116)]
+    data = _named_cohort_csv(tmp_path / "named.csv", csv_116, ids)
+    calls = collections.Counter()
+    real = softset.csv_field
+
+    def counted(text):
+        calls[text] += 1
+        return real(text)
+
+    for module in (softset, pipeline):
+        monkeypatch.setattr(module, "csv_field", counted)
+    cfg = PipelineConfig(
+        data_source=str(data), schema=DatasetSchema(id_column="Name"), reduction="off", out_dir=str(tmp_path / "out")
+    )
+    result = run_pipeline(cfg)
+    assert result.report.universe == tuple(ids)
+    # seven grids, the comparison header and the score rows share one quoting of each ID
+    assert {oid: calls[oid] for oid in ids} == dict.fromkeys(ids, 1)
+
+
+_FRESH_RUN = """
+import sys
+from fuzzysoft import DatasetSchema
+from fuzzysoft.pipeline import PipelineConfig, run_pipeline
+run_pipeline(PipelineConfig(data_source=sys.argv[1], schema=DatasetSchema(id_column="Name"), out_dir=sys.argv[2]))
+"""
+
+
+def test_runs_in_one_process_write_what_fresh_processes_write(tmp_path, csv_116):
+    # two cohorts of one size whose IDs differ, some of them quoted
+    cohorts = [
+        _named_cohort_csv(tmp_path / "first.csv", csv_116, [f"a{i}" if i % 3 else f"a,{i}" for i in range(20)]),
+        _named_cohort_csv(tmp_path / "second.csv", csv_116, [f'b"{i}' if i % 2 else f"b{i}" for i in range(20)]),
+    ]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for k, data in enumerate(cohorts):
+        run_pipeline(PipelineConfig(
+            data_source=str(data), schema=DatasetSchema(id_column="Name"), out_dir=str(tmp_path / f"in{k}")
+        ))
+    for k, data in enumerate(cohorts):
+        command = [sys.executable, "-c", _FRESH_RUN, str(data), str(tmp_path / f"fresh{k}")]
+        subprocess.run(command, env=env, check=True, timeout=120)
+        fresh = {p.name: p.read_bytes() for p in (tmp_path / f"fresh{k}").iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / f"in{k}").iterdir()} == fresh

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzysoft import softset
 from fuzzysoft import (
@@ -15,7 +17,7 @@ from fuzzysoft import (
     to_table,
 )
 from fuzzysoft.scoring import ComparisonTable
-from fuzzysoft.softset import csv_field, grid_chunks
+from fuzzysoft.softset import FixedPoint, csv_field, grid_chunks
 
 MU = "μ_"
 X = "×"
@@ -382,7 +384,9 @@ def test_format_rows_equals_per_cell_formatting(monkeypatch, block_cells):
     rng = np.random.default_rng(4)
     counts = rng.integers(-40, 40, size=(9, 12))
     floats = rng.choice(np.array(_EDGE_VALUES + [-1e-7, -0.5, 123.456789]), size=(9, 12))
-    for grid, fmt in ((counts, str), (floats, "{:.6f}".format), (floats, repr), (np.zeros((2, 0)), repr)):
+    for grid, fmt in (
+        (counts, str), (floats, "{:.6f}".format), (floats, FixedPoint(6)), (floats, repr), (np.zeros((2, 0)), repr)
+    ):
         got, want = _grid_text(grid, fmt)
         assert got == want, fmt
 
@@ -428,3 +432,46 @@ def test_count_table_formats_each_count_once(monkeypatch, block_cells):
     assert got == want
     # every count in [0, m] is formatted once, for the whole table
     assert calls == list(range(10))
+
+
+def _fixed_point_texts(decimals, values, lead=b""):
+    """``FixedPoint(decimals).texts`` without its padding, and the per-value texts of ``format``."""
+    cells = FixedPoint(decimals).texts(np.array(values, dtype=float), lead)
+    want = [lead + f"{{:.{decimals}f}}".format(v).encode() for v in values]
+    return [c.replace(b"\xff", b"") for c in cells.tolist()], want
+
+
+@pytest.mark.parametrize("decimals", range(18))
+def test_fixed_point_texts_equal_per_value_formatting(decimals):
+    scale = 10.0**decimals
+    halves = (np.arange(-1999, 2000) + 0.5) / scale  # the ties, and the values one ulp either side
+    limit = 2.0**50 / scale  # from here on, Python formats the value
+    values = [
+        0.0, -0.0, -1e-12, 5e-324, -5e-324, 0.0078125, 431.9999995, -431.9999995,
+        *halves, *np.nextafter(halves, np.inf), *np.nextafter(halves, -np.inf),
+        limit, -limit, np.nextafter(limit, 0), np.nextafter(limit, np.inf), 2 * limit, 1e300, -1e300,
+        *np.random.default_rng(decimals).uniform(-1e3, 1e3, 500),
+    ]
+    for lead in (b"", b","):
+        got, want = _fixed_point_texts(decimals, values, lead)
+        assert got == want
+    # a sign column only where some value has the sign bit
+    cells = FixedPoint(decimals).texts(np.array([0.5, 12.25, 0.0]))
+    assert cells.itemsize == max(len(f"{{:.{decimals}f}}".format(v)) for v in (0.5, 12.25, 0.0))
+
+
+@pytest.mark.parametrize("decimals", [-1, 2.5, True])
+def test_fixed_point_refuses_what_the_format_refuses(decimals):
+    s = FuzzySoftSet(("a",), ("p",), np.array([[0.5]]))
+    with pytest.raises(ValueError):
+        to_table(s, decimals)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=17),
+    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=0, max_size=40),
+)
+def test_fixed_point_texts_equal_per_value_formatting_on_any_values(decimals, values):
+    got, want = _fixed_point_texts(decimals, values)
+    assert got == want
