@@ -110,9 +110,10 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
 
     Neither mode builds the n x n x m pairwise tensor: memory is O(n^2 + n*m).
     Tables of at least ``_PARALLEL_TESTS`` pairwise tests are filled in
-    contiguous blocks of rows, one per usable CPU, each on its own thread
-    (numpy releases the GIL in these loops); smaller ones on the calling
-    thread. Every cell is computed the same way either way.
+    contiguous blocks of rows, one per usable CPU: the first on the calling
+    thread, each other on a pool thread (numpy releases the GIL in these
+    loops); smaller ones on the calling thread alone. Every cell is computed
+    the same way either way.
     """
     if not s.universe or not s.parameters:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
@@ -124,6 +125,8 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
 
 # Columns summed into the uint8 accumulator before it is flushed (255 cannot overflow).
 _FLUSH_COLUMNS = 255
+# Cells of one row tile of a count job: its accumulator and its compare buffer are 1 MB each.
+_TILE_CELLS = 1 << 20
 # Pairwise differences held at once by difference mode (float64, so 16 MB), over all workers.
 _BLOCK_CELLS = 1 << 21
 # Tables of fewer pairwise tests (n * n * m) are filled on the calling thread:
@@ -149,7 +152,12 @@ def _row_blocks(n: int, tests: int, most: int) -> list[slice]:
 
 
 def _fill_row_blocks(fill: Callable[..., None], jobs: list[tuple]) -> None:
-    """Run ``fill(*job)`` for every job: one job on the calling thread, else one thread each.
+    """Run ``fill(*job)`` for every job: the first on the calling thread, each other on a pool thread.
+
+    One job runs on the calling thread with no pool. Otherwise a pool of
+    ``len(jobs) - 1`` threads takes ``jobs[1:]`` while the calling thread runs
+    ``jobs[0]`` instead of waiting idle. Every job finishes before anything
+    propagates: the caller's own exception first, else a worker's.
 
     Each job's buffers are allocated by the caller, on the calling thread,
     before any worker starts: buffers allocated inside worker threads come
@@ -161,9 +169,15 @@ def _fill_row_blocks(fill: Callable[..., None], jobs: list[tuple]) -> None:
         return
     from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs ~3 ms
 
-    with ThreadPoolExecutor(len(jobs)) as pool:
-        for done in [pool.submit(fill, *job) for job in jobs]:
-            done.result()
+    with ThreadPoolExecutor(len(jobs) - 1) as pool:
+        futures = [pool.submit(fill, *job) for job in jobs[1:]]
+        try:
+            fill(*jobs[0])
+        finally:
+            errors = [done.exception() for done in futures]  # waits for every worker
+        for error in errors:
+            if error is not None:
+                raise error
 
 
 def _count_table(levels: Levels) -> np.ndarray:
@@ -177,32 +191,39 @@ def _count_table(levels: Levels) -> np.ndarray:
     pos_i, so pos_i < q_j. The test is therefore exactly the dense comparison
     ``d_i >= d_j - eps``, with the same float rounding.
 
-    Each row block (see ``_row_blocks``) compares one column at a time into
-    its own rows-by-n bool buffer and adds that into its own uint8 accumulator,
-    flushed into its rows of the table every ``_FLUSH_COLUMNS`` columns,
-    before it can overflow. The table's cells are codes of the levels 0..m
-    (see ``ComparisonTable.levels``), so it is held in their code dtype,
-    int16 below 2**15 levels: 2 MB at n = 1000 and 200 MB at n = 10k, a
-    quarter of int64. Memory is O(n^2 + n*m) whatever the worker count.
+    Each row block (see ``_row_blocks``) is walked in row tiles of at most
+    ``_TILE_CELLS`` cells, that is ``max(1, _TILE_CELLS // n)`` rows (at
+    n = 1000 a tile covers a whole block). A tile compares one column at a
+    time into its job's tile-by-n bool buffer and adds that into its job's
+    uint8 accumulator, flushed into the tile's rows of the table every
+    ``_FLUSH_COLUMNS`` columns, before it can overflow. The table's cells are
+    codes of the levels 0..m (see ``ComparisonTable.levels``), so it is held
+    in their code dtype, int16 below 2**15 levels: 2 MB at n = 1000 and
+    200 MB at n = 10k, a quarter of int64. The buffers add at most 2 MB per
+    worker, so memory is O(n^2 + n*m) whatever the worker count.
     """
     values, codes = levels
     n, m = codes.shape
     pos = np.ascontiguousarray(codes.T)
-    q = values.searchsorted(values - COMPARISON_EPSILON).astype(codes.dtype)[pos]
+    q = np.take(values.searchsorted(values - COMPARISON_EPSILON).astype(codes.dtype), pos)
     counts = np.zeros((n, n), dtype=_code_dtype(m + 1))
+    tile = max(1, _TILE_CELLS // n)
 
-    def fill(rows: slice, acc: np.ndarray, hit_u8: np.ndarray) -> None:
-        hit = hit_u8.view(bool)  # compared as bool, added as uint8: no bool-to-uint8 cast
-        for start in range(0, m, _FLUSH_COLUMNS):
-            acc.fill(0)
-            for e in range(start, min(start + _FLUSH_COLUMNS, m)):
-                np.greater_equal(pos[e, rows, None], q[e, None, :], out=hit)
-                np.add(acc, hit_u8, out=acc)
-            counts[rows] += acc
+    def fill(rows: slice, acc_buf: np.ndarray, hit_buf: np.ndarray) -> None:
+        for first in range(rows.start, rows.stop, tile):
+            r = slice(first, min(first + tile, rows.stop))
+            acc, hit_u8 = acc_buf[: r.stop - first], hit_buf[: r.stop - first]
+            hit = hit_u8.view(bool)  # compared as bool, added as uint8: no bool-to-uint8 cast
+            for start in range(0, m, _FLUSH_COLUMNS):
+                acc.fill(0)
+                for e in range(start, min(start + _FLUSH_COLUMNS, m)):
+                    np.greater_equal(pos[e, r, None], q[e, None, :], out=hit)
+                    np.add(acc, hit_u8, out=acc)
+                counts[r] += acc
 
     jobs = []
     for rows in _row_blocks(n, n * n * m, n):
-        shape = (rows.stop - rows.start, n)
+        shape = (min(tile, rows.stop - rows.start), n)
         jobs.append((rows, np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8)))
     _fill_row_blocks(fill, jobs)
     return counts

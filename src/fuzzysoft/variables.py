@@ -75,6 +75,8 @@ class VariableSpec:
         if len(set(codes)) != len(codes):
             raise ValueError(f"variable {self.name!r} has duplicate partition codes: {codes}")
         # The name and codes are written into UTF-8 text and the name into file names.
+        if not self.name or not all(codes):
+            raise ValueError(f"variable {self.name!r}: a name or partition code may not be empty")
         for text in (self.name, *codes):
             if "\0" in text or any("\ud800" <= ch <= "\udfff" for ch in text):
                 raise ValueError(f"variable {self.name!r}: {text!r} holds a NUL or a lone surrogate")

@@ -63,6 +63,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("reduction.py", "pairs[:, 1] &= ~below[:, 0]", "pairs[:, 1] &= ~below[:, 1]", REDUCTION),
     # the count table's uint8 accumulator is flushed before it can overflow
     ("scoring.py", "_FLUSH_COLUMNS = 255", "_FLUSH_COLUMNS = 256", SCORING),
+    # the calling thread runs the first row block and the pool only the others
+    ("scoring.py", "        try:\n            fill(*jobs[0])", "        try:\n            pass", SCORING),
+    ("scoring.py", "for job in jobs[1:]]", "for job in jobs]", SCORING),
+    # a count job walks its last, partial row tile too
+    ("scoring.py", "range(rows.start, rows.stop, tile)", "range(rows.start, rows.stop - tile + 1, tile)", SCORING),
+    # q is the level map of the degrees minus epsilon
+    ("scoring.py", "values.searchsorted(values - COMPARISON_EPSILON)", "values.searchsorted(values)", SCORING),
+    # a spec's variable names and partition codes are not empty
+    ("variables.py", "if not self.name or not all(codes):", "if False:", CLI),
     # a leading BOM is skipped in the data CSV and in the spec JSON
     ("ingest.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_ingest.py",)),
     ("variables.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_cli.py",)),

@@ -406,6 +406,22 @@ def test_spec_name_with_a_path_separator_exits_1(tmp_path, capsys, command, name
     ]
 
 
+@pytest.mark.parametrize("command", ["run", "curves"])
+@pytest.mark.parametrize("field", ["name", "label"])
+def test_empty_spec_name_or_partition_label_exits_1(tmp_path, capsys, command, field):
+    spec = json.loads(specs_to_json(default_variable_specs()))
+    if field == "name":
+        spec[0]["name"] = ""  # would write fuzzy_.csv, with labels like ()_C
+    else:
+        spec[0]["partitions"][0]["label"] = ""  # would write the header (AGE)_
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--spec", str(spec_file)) == 1
+    assert "a name or partition code may not be empty" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
 def test_duplicate_ids_exit_2(tmp_path, monkeypatch):
     data = tmp_path / "dup.csv"
     data.write_text(

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -258,13 +260,17 @@ def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, ca
     s = PARALLEL_CASES[case]
     n, m = s.degrees.shape
     used = _force_workers(monkeypatch, workers)
-    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+    want_count = _dense_count(s.degrees)
+    # the default tile, then three rows a tile, so that most blocks end in a partial tile
+    for tile_cells in (scoring._TILE_CELLS, 3 * n):
+        monkeypatch.setattr(scoring, "_TILE_CELLS", tile_cells)
+        assert np.array_equal(comparison_table(s, "count").counts, want_count)
     want = _dense_difference(s.degrees).view(np.int64)
     # the default budget, then five rows of differences at a time
     for block_cells in (scoring._BLOCK_CELLS, 5 * n * m):
         monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
         assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want)
-    assert used == [min(workers, n)] * 2 + [min(workers, n, 5)]
+    assert used == [min(workers, n)] * 3 + [min(workers, n, 5)]
 
 
 def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
@@ -273,6 +279,7 @@ def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
     s = _soft_set(np.round(rng.random((211, 57)), 1))
     want_count, want_difference = _dense_count(s.degrees), _dense_difference(s.degrees).view(np.int64)
     _force_workers(monkeypatch, 7)
+    monkeypatch.setattr(scoring, "_TILE_CELLS", 4 * 211)
     monkeypatch.setattr(scoring, "_BLOCK_CELLS", 7 * 211 * 57)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -298,7 +305,52 @@ def test_row_blocks_run_on_threads_only_above_the_threshold(monkeypatch):
     monkeypatch.setattr(scoring, "_PARALLEL_TESTS", 64 * 64 * 4096 + 1)
     for mode in MODES:
         comparison_table(s, mode)
-    assert pools == [2, 2]
+    # the calling thread runs the first of the two blocks
+    assert pools == [1, 1]
+
+
+def test_row_blocks_run_exactly_the_first_job_on_the_calling_thread():
+    ran = []
+    scoring._fill_row_blocks(lambda k: ran.append((k, threading.get_ident())), [(k,) for k in range(4)])
+    assert sorted(k for k, _ in ran) == [0, 1, 2, 3]
+    assert [k for k, thread in ran if thread == threading.get_ident()] == [0]
+
+
+class _JobError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [0, 2], ids=["on-the-caller", "on-a-worker"])
+def test_a_failing_row_block_raises_its_own_error_after_every_job_finishes(failing):
+    threads = threading.active_count()
+    finished = []
+
+    def fill(k):
+        if k == failing:
+            raise _JobError(k)
+        time.sleep(0.05)
+        finished.append(k)
+
+    with pytest.raises(_JobError) as raised:
+        scoring._fill_row_blocks(fill, [(k,) for k in range(3)])
+    assert raised.value.args == (failing,)
+    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+    assert threading.active_count() == threads
+
+
+def test_count_buffers_are_bounded_by_their_tiles(monkeypatch):
+    # two workers each buffering their whole 1500-row share would hold 18 MB besides the table
+    s = _soft_set(np.round(np.random.default_rng(6).random((3000, 8)), 2))
+    used = _force_workers(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        comparison_table(s, "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert used == [2]
+    # the 18 MB int16 table and at most 2 MB of buffers per worker
+    assert peak < 3000 * 3000 * 2 + 6 * 2**20
 
 
 @pytest.mark.parametrize("workers", [None, 1, 2, 3, 7])
