@@ -62,9 +62,9 @@ DEFAULT_SCHEMA = DatasetSchema()
 
 def _parse_measurement(cell: str, row: int, column: str) -> float:
     token = cell.strip()
-    # float() would accept "1_000" and "nan"; measurements must be plain
-    # locale-independent decimals.
-    if not token or "_" in token:
+    # float() would accept "1_000", "nan" and non-ASCII digits such as "٣٣";
+    # measurements must be plain locale-independent decimals.
+    if not token or "_" in token or not token.isascii():
         raise DataError(f"row {row}, column {column!r}: cannot parse {cell!r} as a number")
     try:
         value = float(token)

@@ -66,8 +66,19 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the calling thread runs the first row block and the pool only the others
     ("scoring.py", "        try:\n            fill(*jobs[0])", "        try:\n            pass", SCORING),
     ("scoring.py", "for job in jobs[1:]]", "for job in jobs]", SCORING),
-    # a count job walks its last, partial row tile too
-    ("scoring.py", "range(rows.start, rows.stop, tile)", "range(rows.start, rows.stop - tile + 1, tile)", SCORING),
+    # a count tile skips only the columns that every one of its rows wins outright: a
+    # saturated cell is at or above its column's largest q, the skipped columns are those
+    # saturated on all of the tile's rows, and each adds exactly 1
+    ("scoring.py", "_pattern_tiles(codes >= q.max(axis=1)", "_pattern_tiles(codes > q.max(axis=1)", SCORING),
+    ("scoring.py", "np.bitwise_and.reduceat(packed", "np.bitwise_or.reduceat(packed", SCORING),
+    ("scoring.py", "total.fill(m - len(cols))", "total.fill(m - len(cols) + 1)", SCORING),
+    # a tile's sums go to its rows through the sort order, not to its sorted positions
+    ("scoring.py", "counts[order[a:b]] = total", "counts[a:b] = total", SCORING),
+    # a tile's later compare chunks add to its accumulator; a tile holds at most cap rows;
+    # each tile goes to the least loaded worker
+    ("scoring.py", "if c == 0:", "if True:", SCORING),
+    ("scoring.py", "cuts.extend(range(min(cuts[-1] + cap, stop), stop + 1, cap))", "pass", SCORING),
+    ("scoring.py", "least = loads.index(min(loads))", "least = 0", SCORING),
     # q is the level map of the degrees minus epsilon
     ("scoring.py", "values.searchsorted(values - COMPARISON_EPSILON)", "values.searchsorted(values)", SCORING),
     # a spec's variable names and partition codes are not empty

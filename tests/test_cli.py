@@ -147,6 +147,20 @@ def test_csv_naming_a_read_column_twice_exits_2(tmp_path, capsys):
     assert _empty_or_absent(out)
 
 
+def test_csv_with_non_ascii_digits_exits_2(tmp_path, capsys):
+    data = tmp_path / "digits.csv"
+    data.write_text(
+        "Age,BMI,Insulin,Leptin,Adiponectin,Classification\n"
+        "50,23.01,5.66,35.59,26.72,1\n"
+        "٣٣,24.74,58.46,18.16,16.10,2\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert run_cli("run", "--out", str(out), "--data", str(data)) == 2
+    assert "row 2, column 'Age': cannot parse '٣٣' as a number" in capsys.readouterr().err
+    assert _empty_or_absent(out)
+
+
 def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--not-a-flag")

@@ -124,6 +124,15 @@ def test_underscored_number_is_rejected(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["٣٣", "３３", "3٣", "1e٢"], ids=["arabic-indic", "fullwidth", "mixed", "exponent"])
+def test_non_ascii_digits_are_rejected(tmp_path, cell):
+    # float() reads each of these as a number: "٣٣" is 33.0
+    float(cell)
+    path = _write(tmp_path, HEADER + f"\n50,25.0,90,4.2,2.1,10,12,8,300,1\n{cell},25.0,90,4.2,2.1,10,12,8,300,1\n")
+    with pytest.raises(DataError, match=r"row 2, column 'Age': cannot parse"):
+        load_csv(path)
+
+
 def test_negative_measurement_is_rejected(tmp_path):
     path = _write(tmp_path, HEADER + "\n50,25.0,90,-4.2,2.1,10,12,8,300,1\n")
     with pytest.raises(DataError, match="negative"):

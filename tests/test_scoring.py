@@ -20,6 +20,7 @@ from fuzzysoft import (
     evaluate,
     format_report_text,
     fuzzify_cohort,
+    load_csv,
     product,
     product_n,
     report_to_csv,
@@ -232,6 +233,20 @@ def _force_workers(monkeypatch, workers):
     return used
 
 
+def _partition_set(rng, name, n, k):
+    """A variable's fuzzy partition of k triangles at integer centres: rows at half steps, so many 1.0 cells."""
+    x = rng.integers(0, 2 * (k - 1) + 1, size=n)[:, None] / 2
+    degrees = np.maximum(0.0, 1.0 - np.abs(x - np.arange(k)))
+    return FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"{name}{j}" for j in range(k)), degrees)
+
+
+def _patterned_degrees(rng, runs, m):
+    """Rows repeating a few saturation patterns, ``runs[p]`` rows of pattern p: 1.0 where saturated, below elsewhere."""
+    patterns = rng.random((len(runs), m)) < 0.5
+    sat = np.repeat(patterns, runs, axis=0)
+    return rng.permutation(np.where(sat, 1.0, np.round(rng.uniform(0.1, 0.9, sat.shape), 1)))
+
+
 def _parallel_cases():
     rng = np.random.default_rng(400)
     flush = np.round(rng.random((30, 600)), 1)
@@ -240,6 +255,17 @@ def _parallel_cases():
         FuzzySoftSet(tuple(f"o{i}" for i in range(40)), tuple(f"v{k}e{j}" for j in range(m)), _level_edge_degrees(rng, 40, m))
         for k, m in enumerate((3, 2, 4))
     ]
+    # a column's top level 1.0 tied within eps by 1 - 5e-10: rows at either saturate it
+    tied = np.round(rng.random((50, 6)), 1)
+    tied[rng.random(tied.shape) < 0.3] = 1.0
+    tied[rng.random(tied.shape) < 0.3] = 1.0 - 5e-10
+    tied[:, 0] = np.where(np.arange(50) % 2, 1.0 - 2e-9, 1.0 - 5e-10)  # 2e-9 below is not tied
+    # every column constant, or all within eps of its top: every cell saturated
+    flat = np.tile(np.round(rng.random(7), 2), (40, 1))
+    flat[::3, 3:] += 5e-10
+    # each column's top on its own row: one saturated cell per column, the fewest there can be
+    lone = np.round(rng.uniform(0.0, 0.9, (40, 30)), 1)
+    lone[np.arange(30), np.arange(30)] = 1.0
     return {
         "ties": _soft_set(np.round(rng.random((53, 41)), 1)),
         "epsilon-ulps": _soft_set(np.column_stack([_near_epsilon_column(rng, 60) for _ in range(8)])),
@@ -248,6 +274,12 @@ def _parallel_cases():
         "n=1": _soft_set(np.round(rng.random((1, 5)), 1)),
         "n=2": _soft_set(np.round(rng.random((2, 9)), 1)),
         "n=37": _soft_set(np.round(rng.random((37, 13)), 1)),  # uneven over 2, 3 and 7 blocks
+        "partition-max-product": product_n([_partition_set(rng, v, 120, k) for v, k in zip("abc", (3, 4, 3))], "max"),
+        "top-tied-within-eps": _soft_set(tied),
+        "all-saturated": _soft_set(flat),
+        "one-saturated-row-per-column": _soft_set(lone),
+        # short runs of patterns merge up to the tile floor, around one run past it
+        "patterns-merged-across-the-floor": _soft_set(_patterned_degrees(rng, [3, 1, 5, 2, 4, 30, 2, 1, 6, 3, 5], 20)),
     }
 
 
@@ -261,16 +293,103 @@ def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, ca
     n, m = s.degrees.shape
     used = _force_workers(monkeypatch, workers)
     want_count = _dense_count(s.degrees)
-    # the default tile, then three rows a tile, so that most blocks end in a partial tile
-    for tile_cells in (scoring._TILE_CELLS, 3 * n):
+    # the default tiles, then tiles of at most three rows, then compare chunks of one or
+    # two columns, so that most tiles sum several chunks, the last one partial
+    for tile_cells, chunk_cells in ((scoring._TILE_CELLS, scoring._CHUNK_CELLS), (3 * n, scoring._CHUNK_CELLS),
+                                    (scoring._TILE_CELLS, 3 * scoring._TILE_FLOOR * n)):
         monkeypatch.setattr(scoring, "_TILE_CELLS", tile_cells)
+        monkeypatch.setattr(scoring, "_CHUNK_CELLS", chunk_cells)
         assert np.array_equal(comparison_table(s, "count").counts, want_count)
     want = _dense_difference(s.degrees).view(np.int64)
     # the default budget, then five rows of differences at a time
     for block_cells in (scoring._BLOCK_CELLS, 5 * n * m):
         monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
         assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want)
-    assert used == [min(workers, n)] * 3 + [min(workers, n, 5)]
+    assert used == [min(workers, n)] * 4 + [min(workers, n, 5)]
+
+
+def _saturation(s):
+    """Per cell, whether its row wins every comparison in its column; computed from the degrees."""
+    d = s.degrees
+    return (d[:, None, :] >= d[None, :, :] - COMPARISON_EPSILON).all(axis=1)
+
+
+@pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
+def test_count_tiles_skip_only_the_columns_every_row_of_the_tile_wins(case):
+    s = PARALLEL_CASES[case]
+    n, m = s.degrees.shape
+    sat = _saturation(s)
+    values, codes = s.levels
+    q = np.take(values.searchsorted(values - COMPARISON_EPSILON), codes.T)
+    assert np.array_equal(codes >= q.max(axis=1), sat)
+    for cap in (max(1, scoring._TILE_CELLS // n), 3):
+        order, tiles = scoring._pattern_tiles(sat, cap)
+        assert sorted(order.tolist()) == list(range(n))
+        assert [a for a, _, _ in tiles] == [0] + [b for _, b, _ in tiles[:-1]] and tiles[-1][1] == n
+        for a, b, cols in tiles:
+            assert 0 < b - a <= cap
+            skipped = np.setdiff1d(np.arange(m), cols)
+            assert sat[order[a:b]][:, skipped].all()
+            assert not sat[order[a:b]][:, cols].all(axis=0).any()
+    # the default tiles of these cases skip all, none and some merged columns
+    order, tiles = scoring._pattern_tiles(sat, max(1, scoring._TILE_CELLS // n))
+    patterns = [len(np.unique(np.packbits(sat[order[a:b]], axis=1), axis=0)) for a, b, _ in tiles]
+    if case == "all-saturated":
+        assert [len(cols) for *_, cols in tiles] == [0]
+    if case == "one-saturated-row-per-column":
+        assert sat.sum(axis=0).tolist() == [1] * m and all(len(cols) == m for *_, cols in tiles)
+    if case == "patterns-merged-across-the-floor":
+        assert max(patterns) > 1 and any(p == 1 and b - a >= scoring._TILE_FLOOR for p, (a, b, _) in zip(patterns, tiles))
+        assert any(p > 1 and len(cols) < m for p, (_, _, cols) in zip(patterns, tiles))
+    if case == "top-tied-within-eps":
+        tied = s.degrees == 1.0 - 5e-10
+        assert tied.any() and sat[tied].all() and not sat[s.degrees == 1.0 - 2e-9].any()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_count_tiles_are_dealt_to_the_workers_by_cost(monkeypatch, workers):
+    s = PARALLEL_CASES["partition-max-product"]
+    _force_workers(monkeypatch, workers)
+    jobs = []
+    fill = scoring._fill_row_blocks
+    monkeypatch.setattr(scoring, "_fill_row_blocks", lambda f, js: (jobs.extend(js), fill(f, js)))
+    monkeypatch.setattr(scoring, "_TILE_CELLS", 3 * 120)  # at least 40 tiles of at most three rows
+    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+    costs = [[(b - a) * len(cols) for a, b, cols, _ in job[0]] for job in jobs]
+    assert len(costs) == workers and sum(map(len, costs)) >= 40
+    # each tile went to the least loaded worker, so no two loads differ by more than the largest tile
+    loads = [sum(c) for c in costs]
+    assert max(loads) - min(loads) <= max(map(max, costs))
+    assert costs[0][0] == max(map(max, costs))  # the largest tile first, on the calling thread
+
+
+class _CountingNumpy:
+    """numpy, whose ``greater_equal`` also counts the cells it writes."""
+
+    def __init__(self):
+        self.cells = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def greater_equal(self, *args, out):
+        self.cells += out.size
+        return np.greater_equal(*args, out=out)
+
+
+def test_count_table_compares_fewer_cells_than_the_dense_tensor(monkeypatch, csv_116, specs):
+    # the 116-row file with reduction off: 432 max-product columns, 53% of the cells saturated
+    prod = product_n(fuzzify_cohort(load_csv(csv_116, specs=specs), specs), "max")
+    n, m = prod.degrees.shape
+    counting = _CountingNumpy()
+    monkeypatch.setattr(scoring, "np", counting)
+    counts = comparison_table(prod, "count").counts
+    monkeypatch.undo()
+    assert (n, m) == (116, 432)
+    assert np.array_equal(counts, _dense_count(prod.degrees))
+    assert round(_saturation(prod).mean(), 3) == 0.531
+    # two thirds of n * n * m = 5,812,992: the 30 row patterns merge into tiles of at least 16 rows
+    assert counting.cells == 3_873_936
 
 
 def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
@@ -278,6 +397,9 @@ def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
     rng = np.random.default_rng(14)
     s = _soft_set(np.round(rng.random((211, 57)), 1))
     want_count, want_difference = _dense_count(s.degrees), _dense_difference(s.degrees).view(np.int64)
+    # and tables whose tiles skip saturated columns, in tiles of up to 7, 13 and 16 rows
+    saturated = [PARALLEL_CASES[c] for c in ("partition-max-product", "patterns-merged-across-the-floor", "top-tied-within-eps")]
+    want_saturated = [_dense_count(t.degrees) for t in saturated]
     _force_workers(monkeypatch, 7)
     monkeypatch.setattr(scoring, "_TILE_CELLS", 4 * 211)
     monkeypatch.setattr(scoring, "_BLOCK_CELLS", 7 * 211 * 57)
@@ -287,6 +409,8 @@ def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
         for _ in range(3):
             assert np.array_equal(comparison_table(s, "count").counts, want_count)
             assert np.array_equal(comparison_table(s, "difference").counts.view(np.int64), want_difference)
+            for t, want in zip(saturated, want_saturated):
+                assert np.array_equal(comparison_table(t, "count").counts, want)
     finally:
         sys.setswitchinterval(interval)
 
