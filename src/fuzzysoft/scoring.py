@@ -116,9 +116,10 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
     ``_PARALLEL_TESTS`` pairwise tests (n * n * m, skipped or not) are filled
     by one worker per usable CPU: the first on the calling thread, each other
     on a pool thread (numpy releases the GIL in these loops). Difference mode
-    gives each worker a contiguous block of rows, count mode a share of the
-    row tiles of about equal cost. Smaller tables are filled on the calling
-    thread alone. Every cell is the same integer or float either way.
+    gives each worker a contiguous block of rows, count mode a contiguous
+    share of the sorted rows of about equal cost. Smaller tables are filled
+    on the calling thread alone. Every cell is the same integer or float
+    either way.
     """
     if not s.universe or not s.parameters:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
@@ -207,10 +208,12 @@ def _count_table(levels: Levels) -> np.ndarray:
     adds exactly 1 to each of row i's n cells with no compare. With the max
     combiner and reduction off (432 columns), 53.1% of the product cells of
     the 116-row file are saturated, and 52-53% of those of its 1000-row
-    resamples, in about 30 distinct row patterns. The rows are sorted and tiled by
-    pattern (see ``_pattern_tiles``), and a tile compares only the columns
-    where some of its rows is unsaturated; each other column adds the
-    constant 1. A saturated cell inside a compared column compares as 1
+    resamples, in about 30 distinct row patterns; the max product of a
+    finer spec has far fewer (about 1% with 14 partitions a variable), and
+    then almost every column is compared. The rows are sorted and tiled by
+    pattern (see ``_pattern_tiles``), and a tile compares only the
+    columns where some of its rows is unsaturated; each other column adds
+    the constant 1. A saturated cell inside a compared column compares as 1
     anyway, so every cell is the same integer as the dense comparison's.
 
     A tile compares a chunk of its columns in one 3-D ``greater_equal`` and
@@ -218,16 +221,20 @@ def _count_table(levels: Levels) -> np.ndarray:
     the tile's int16 sums every ``_FLUSH_COLUMNS`` columns, before it can
     overflow. Few, large numpy calls leave the workers little to contend
     for the GIL over. A chunk holds at most ``_CHUNK_CELLS`` cells and a tile at
-    most ``max(1, _TILE_CELLS // n)`` rows. The sums, which start at the
-    tile's constant, are written to the tile's rows through the sort order.
-    The tiles are dealt to the workers (see ``_worker_count``) by cost, rows
-    times compared columns: each, largest first, to the least loaded one.
-    The workers' buffers, sized to the largest tile, are allocated here, on
-    the calling thread (see ``_fill_row_blocks``). The table's cells are
-    codes of the levels 0..m (see ``ComparisonTable.levels``), so it is held
-    in their code dtype, int16 below 2**15 levels: 2 MB at n = 1000 and
-    200 MB at n = 10k, a quarter of int64. The buffers add less than 3 MB
-    per worker, so memory is O(n^2 + n*m) whatever the worker count.
+    most ``max(1, _TILE_CELLS // n)`` rows; a tile of more than a third of
+    ``_CHUNK_CELLS`` cells compares one column per chunk, which it adds into
+    its accumulator as it is. The sums, which start at the tile's constant,
+    are written to the tile's rows through the sort order. The sorted rows
+    are cut into one contiguous share per worker (see ``_worker_count``) of
+    about equal cost, a tile that a cut falls in split between two shares
+    (see ``_cost_shares``), so that even rows of one pattern are spread over
+    every worker. The workers' buffers, sized to the largest tile, are
+    allocated here, on the calling thread (see ``_fill_row_blocks``). The
+    table's cells are codes of the levels 0..m (see
+    ``ComparisonTable.levels``), so it is held in their code dtype, int16
+    below 2**15 levels: 2 MB at n = 1000 and 200 MB at n = 10k, a quarter
+    of int64. The buffers add less than 3 MB per worker, so memory is
+    O(n^2 + n*m) whatever the worker count.
     """
     values, codes = levels
     n, m = codes.shape
@@ -237,27 +244,35 @@ def _count_table(levels: Levels) -> np.ndarray:
     counts = np.zeros((n, n), dtype=_code_dtype(m + 1))
     # columns per compare chunk: the chunk and a partial-sum slab within _CHUNK_CELLS,
     # a short tile counted as _TILE_FLOOR rows
-    tiles = [(a, b, cols, max(1, min(len(cols), _FLUSH_COLUMNS, _CHUNK_CELLS // (max(b - a, _TILE_FLOOR) * n) - 1)))
-             for a, b, cols in tiles]
+    shares = [
+        [(a, b, cols, max(1, min(len(cols), _FLUSH_COLUMNS, _CHUNK_CELLS // (max(b - a, _TILE_FLOOR) * n) - 1)))
+         for a, b, cols in share]
+        for share in _cost_shares(tiles, _worker_count(n * n * m, n))
+    ]
 
     def fill(share: list, acc_buf: np.ndarray, sum_buf: np.ndarray, work: np.ndarray,
              q_buf: np.ndarray, pos_buf: np.ndarray) -> None:
         for a, b, cols, k in share:
             r = b - a
             acc, total, part = (buf[: r * n].reshape(r, n) for buf in (acc_buf, sum_buf, work))
+            rows, views = pos[a:b], {}
             total.fill(m - len(cols))  # each saturated column adds 1 to every cell
             for g in range(0, len(cols), _FLUSH_COLUMNS):
                 group = cols[g : g + _FLUSH_COLUMNS]
                 for c in range(0, len(group), k):
                     chunk = group[c : c + k]
                     w = len(chunk)
-                    qs = np.take(q, chunk, axis=0, out=q_buf[: w * n].reshape(w, n), mode="clip")
-                    ps = np.take(pos[a:b], chunk, axis=1, out=pos_buf[: r * w].reshape(r, w), mode="clip")
-                    hit = work[r * n : (w + 1) * r * n].reshape(w, r, n)  # after the partial-sum slab
-                    np.greater_equal(ps.T[:, :, None], qs[:, None, :], out=hit.view(bool))
+                    if w not in views:  # made once a tile for each chunk width: each call holds the GIL
+                        qs, ps = q_buf[: w * n].reshape(w, n), pos_buf[: r * w].reshape(r, w)
+                        hit = work[r * n : (w + 1) * r * n].reshape(w, r, n)  # after the partial-sum slab
+                        views[w] = qs, ps, qs[:, None, :], ps.T[:, :, None], hit, hit.view(bool)
+                    qs, ps, q3, p3, hit, hit_bool = views[w]
+                    q.take(chunk, axis=0, out=qs, mode="clip")
+                    rows.take(chunk, axis=1, out=ps, mode="clip")
+                    np.greater_equal(p3, q3, out=hit_bool)
                     if c == 0:
                         np.add.reduce(hit, axis=0, dtype=np.uint8, out=acc)
-                    elif w == 1:
+                    elif w == 1:  # one column: added as it is, with no partial sum to copy
                         np.add(acc, hit[0], out=acc)
                     else:
                         np.add.reduce(hit, axis=0, dtype=np.uint8, out=part)
@@ -265,12 +280,7 @@ def _count_table(levels: Levels) -> np.ndarray:
                 np.add(total, acc, out=total)
             counts[order[a:b]] = total
 
-    workers = _worker_count(n * n * m, n)
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for tile in sorted(tiles, key=lambda t: (t[1] - t[0]) * len(t[2]), reverse=True):
-        least = loads.index(min(loads))
-        shares[least].append(tile)
-        loads[least] += (tile[1] - tile[0]) * len(tile[2])
+    tiles = [tile for share in shares for tile in share]
     rows = max(b - a for a, b, _, _ in tiles)
     width = max(k for *_, k in tiles)
     slab = max((k + 1) * (b - a) for a, b, _, k in tiles) * n
@@ -318,6 +328,27 @@ def _pattern_tiles(sat: np.ndarray, cap: int) -> tuple[np.ndarray, list[tuple[in
     # a column is skipped only where every row of the tile is saturated
     everywhere = np.unpackbits(np.bitwise_and.reduceat(packed, cuts[:-1], axis=0), axis=1, count=m)
     return order, [(a, b, np.flatnonzero(everywhere[t] == 0)) for t, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+
+
+def _cost_shares(tiles: list[tuple[int, int, np.ndarray]], workers: int) -> list[list[tuple[int, int, np.ndarray]]]:
+    """The tiles' rows cut into at most ``workers`` contiguous shares of about equal cost.
+
+    A row costs its tile's compared columns plus one, for its sums. Each row
+    goes to the share in which the middle of its cost falls, so no share costs
+    more than an even share plus one row, at most m + 1. A tile that a share
+    boundary cuts is split between the two shares, each part keeping the
+    tile's columns: a saturated cell in a compared column compares as 1, so
+    the split is exact. A share that no row falls in is dropped.
+    """
+    cost = np.repeat([len(cols) + 1 for _, _, cols in tiles], [b - a for a, b, _ in tiles])
+    ends = np.cumsum(cost)
+    share = (2 * ends - cost) * workers // (2 * int(ends[-1]))  # the share of each row's middle
+    bounds = np.searchsorted(share, np.arange(workers + 1)).tolist()
+    return [
+        [(max(a, lo), min(b, hi), cols) for a, b, cols in tiles if a < hi and lo < b]
+        for lo, hi in zip(bounds, bounds[1:])
+        if lo < hi
+    ]
 
 
 def _difference_table(d: np.ndarray) -> np.ndarray:

@@ -74,11 +74,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("scoring.py", "total.fill(m - len(cols))", "total.fill(m - len(cols) + 1)", SCORING),
     # a tile's sums go to its rows through the sort order, not to its sorted positions
     ("scoring.py", "counts[order[a:b]] = total", "counts[a:b] = total", SCORING),
-    # a tile's later compare chunks add to its accumulator; a tile holds at most cap rows;
-    # each tile goes to the least loaded worker
+    # a tile's later compare chunks add to its accumulator, one column as it is; a tile
+    # holds at most cap rows
     ("scoring.py", "if c == 0:", "if True:", SCORING),
+    ("scoring.py", "np.add(acc, hit[0], out=acc)", "np.copyto(acc, hit[0])", SCORING),
     ("scoring.py", "cuts.extend(range(min(cuts[-1] + cap, stop), stop + 1, cap))", "pass", SCORING),
-    ("scoring.py", "least = loads.index(min(loads))", "least = 0", SCORING),
+    # the workers get contiguous shares of the sorted rows, of about equal cost, a tile cut
+    # by a share boundary split between the two
+    ("scoring.py", "share = (2 * ends - cost) * workers //", "share = (2 * ends - cost) * 0 //", SCORING),
+    ("scoring.py", "[(max(a, lo), min(b, hi), cols) for a, b, cols in tiles", "[(a, b, cols) for a, b, cols in tiles", SCORING),
     # q is the level map of the degrees minus epsilon
     ("scoring.py", "values.searchsorted(values - COMPARISON_EPSILON)", "values.searchsorted(values)", SCORING),
     # a spec's variable names and partition codes are not empty

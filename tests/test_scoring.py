@@ -240,9 +240,12 @@ def _partition_set(rng, name, n, k):
     return FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"{name}{j}" for j in range(k)), degrees)
 
 
-def _patterned_degrees(rng, runs, m):
-    """Rows repeating a few saturation patterns, ``runs[p]`` rows of pattern p: 1.0 where saturated, below elsewhere."""
-    patterns = rng.random((len(runs), m)) < 0.5
+def _patterned_degrees(rng, runs, m, share=0.5):
+    """Rows repeating a few saturation patterns, ``runs[p]`` rows of pattern p: 1.0 where saturated, below elsewhere.
+
+    Each pattern saturates a column with probability ``share``.
+    """
+    patterns = rng.random((len(runs), m)) < share
     sat = np.repeat(patterns, runs, axis=0)
     return rng.permutation(np.where(sat, 1.0, np.round(rng.uniform(0.1, 0.9, sat.shape), 1)))
 
@@ -280,6 +283,9 @@ def _parallel_cases():
         "one-saturated-row-per-column": _soft_set(lone),
         # short runs of patterns merge up to the tile floor, around one run past it
         "patterns-merged-across-the-floor": _soft_set(_patterned_degrees(rng, [3, 1, 5, 2, 4, 30, 2, 1, 6, 3, 5], 20)),
+        # one pattern, with few saturated cells, holds nearly every row: one tile of 290 rows
+        # (the last row tops every column, so that no other row saturates one by chance)
+        "one-dominant-pattern": _soft_set(np.vstack([_patterned_degrees(rng, [290, 4, 3, 2], 24, share=0.1), np.ones(24)])),
     }
 
 
@@ -346,21 +352,29 @@ def test_count_tiles_skip_only_the_columns_every_row_of_the_tile_wins(case):
         assert tied.any() and sat[tied].all() and not sat[s.degrees == 1.0 - 2e-9].any()
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_count_tiles_are_dealt_to_the_workers_by_cost(monkeypatch, workers):
-    s = PARALLEL_CASES["partition-max-product"]
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("case", ["partition-max-product", "one-dominant-pattern"])
+def test_count_shares_cut_the_sorted_rows_into_even_costs(monkeypatch, case, workers):
+    s = PARALLEL_CASES[case]
+    n, m = s.degrees.shape
     _force_workers(monkeypatch, workers)
     jobs = []
     fill = scoring._fill_row_blocks
     monkeypatch.setattr(scoring, "_fill_row_blocks", lambda f, js: (jobs.extend(js), fill(f, js)))
-    monkeypatch.setattr(scoring, "_TILE_CELLS", 3 * 120)  # at least 40 tiles of at most three rows
     assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
-    costs = [[(b - a) * len(cols) for a, b, cols, _ in job[0]] for job in jobs]
-    assert len(costs) == workers and sum(map(len, costs)) >= 40
-    # each tile went to the least loaded worker, so no two loads differ by more than the largest tile
-    loads = [sum(c) for c in costs]
-    assert max(loads) - min(loads) <= max(map(max, costs))
-    assert costs[0][0] == max(map(max, costs))  # the largest tile first, on the calling thread
+    shares = [[(a, b, len(cols)) for a, b, cols, _ in job[0]] for job in jobs]
+    assert len(shares) == workers
+    # one contiguous run of the sorted rows each, in order, every row once
+    spans = [(a, b) for share in shares for a, b, _ in share]
+    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]] and spans[-1][1] == n
+    # a row costs its compared columns plus one: no share over an even share plus one row
+    costs = [sum((b - a) * (k + 1) for a, b, k in share) for share in shares]
+    assert max(costs) <= sum(costs) / workers + m + 1
+    # so no worker compares more cells than a row block of the even split, plus a row
+    assert max(sum((b - a) * k for a, b, k in share) for share in shares) <= (n / workers + 1) * (m + 1)
+    if case == "one-dominant-pattern":  # its 290-row tile was split between workers
+        order, tiles = scoring._pattern_tiles(_saturation(s), max(1, scoring._TILE_CELLS // n))
+        assert max(b - a for a, b, _ in tiles) == 290 > n / workers + 1
 
 
 class _CountingNumpy:
@@ -397,8 +411,9 @@ def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
     rng = np.random.default_rng(14)
     s = _soft_set(np.round(rng.random((211, 57)), 1))
     want_count, want_difference = _dense_count(s.degrees), _dense_difference(s.degrees).view(np.int64)
-    # and tables whose tiles skip saturated columns, in tiles of up to 7, 13 and 16 rows
-    saturated = [PARALLEL_CASES[c] for c in ("partition-max-product", "patterns-merged-across-the-floor", "top-tied-within-eps")]
+    # and tables whose tiles skip saturated columns, in tiles of up to 7, 13, 16 and 2 rows
+    saturated = [PARALLEL_CASES[c] for c in ("partition-max-product", "patterns-merged-across-the-floor", "top-tied-within-eps",
+                                             "one-dominant-pattern")]
     want_saturated = [_dense_count(t.degrees) for t in saturated]
     _force_workers(monkeypatch, 7)
     monkeypatch.setattr(scoring, "_TILE_CELLS", 4 * 211)
