@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConfigError, DataError
 from .variables import HEALTHY_CONTROL, PATIENT, Cohort, VariableSpec, default_variable_specs
@@ -49,6 +49,11 @@ class DatasetSchema:
     id_column: str | None = None  # None: ids are mu_<row position>, 1-based
 
     def __post_init__(self) -> None:
+        for what, mapping in (("column map", self.column_map), ("label encoding", self.label_encoding)):
+            if not isinstance(mapping, Mapping) or not all(isinstance(s, str) for pair in mapping.items() for s in pair):
+                raise ConfigError(f"{what} must map strings to strings, got {mapping!r}")
+        if not isinstance(self.id_column, (str, type(None))):
+            raise ConfigError(f"id column must be a string or None, got {self.id_column!r}")
         unknown = set(self.label_encoding.values()) - {HEALTHY_CONTROL, PATIENT}
         if unknown:
             raise ConfigError(

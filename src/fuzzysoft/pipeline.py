@@ -101,6 +101,7 @@ class PipelineConfig:
     def validate(self) -> None:
         for what, value, types, kind in (
             ("data source", self.data_source, str, "a string"),
+            ("schema", self.schema, DatasetSchema, "a DatasetSchema"),
             ("spec path", self.spec_path, (str, type(None)), "a string or None"),
             ("threshold", self.threshold, (int, float), "a number"),
             ("round digits", self.round_digits, int, "an integer"),

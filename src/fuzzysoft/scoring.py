@@ -115,11 +115,10 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
     which columns their rows top (see ``_count_table``). Tables of at least
     ``_PARALLEL_TESTS`` pairwise tests (n * n * m, skipped or not) are filled
     by one worker per usable CPU: the first on the calling thread, each other
-    on a pool thread (numpy releases the GIL in these loops). Difference mode
-    gives each worker a contiguous block of rows, count mode a contiguous
-    share of the sorted rows of about equal cost. Smaller tables are filled
-    on the calling thread alone. Every cell is the same integer or float
-    either way.
+    on a pool thread (numpy releases the GIL in these loops). Both modes cut
+    their rows into tiles and give each worker a contiguous share of them of
+    about equal cost (see ``_cost_shares``). Smaller tables are filled on the
+    calling thread alone. Every cell is the same integer or float either way.
     """
     if not s.universe or not s.parameters:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
@@ -152,15 +151,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(tests: int, most: int) -> int:
-    """One worker below ``_PARALLEL_TESTS`` pairwise tests, otherwise one per usable CPU, but at most ``most``."""
-    return 1 if tests < _PARALLEL_TESTS else min(_usable_cpus(), most)
-
-
-def _row_blocks(n: int, tests: int, most: int) -> list[slice]:
-    """Contiguous blocks of the n rows, one per worker (see ``_worker_count``), their sizes at most one apart."""
-    workers = _worker_count(tests, most)
-    return [slice(n * k // workers, n * (k + 1) // workers) for k in range(workers)]
+def _worker_count(tests: int) -> int:
+    """One worker below ``_PARALLEL_TESTS`` pairwise tests, otherwise one per usable CPU."""
+    return 1 if tests < _PARALLEL_TESTS else _usable_cpus()
 
 
 def _fill_row_blocks(fill: Callable[..., None], jobs: list[tuple]) -> None:
@@ -247,7 +240,7 @@ def _count_table(levels: Levels) -> np.ndarray:
     shares = [
         [(a, b, cols, max(1, min(len(cols), _FLUSH_COLUMNS, _CHUNK_CELLS // (max(b - a, _TILE_FLOOR) * n) - 1)))
          for a, b, cols in share]
-        for share in _cost_shares(tiles, _worker_count(n * n * m, n))
+        for share in _cost_shares(tiles, _worker_count(n * n * m))
     ]
 
     def fill(share: list, acc_buf: np.ndarray, sum_buf: np.ndarray, work: np.ndarray,
@@ -352,10 +345,11 @@ def _cost_shares(tiles: list[tuple[int, int, np.ndarray]], workers: int) -> list
 
 
 def _difference_table(d: np.ndarray) -> np.ndarray:
-    """Difference-mode table, summed over blocks of rows.
+    """Difference-mode table, summed over row tiles of all m columns.
 
-    Each row block (see ``_row_blocks``) subtracts a few rows at a time into
-    its own buffer and sums it into those rows of the table. The buffers
+    The workers take the tiles in contiguous shares (see ``_cost_shares``).
+    Each subtracts one tile at a time into its own buffer, sized to its
+    largest tile, and sums it into those rows of the table. The buffers
     together hold at most ``_BLOCK_CELLS`` differences, or one row each, so
     there are no more workers than budgeted rows. Each cell is the same
     pairwise sum over the same contiguous m values as the whole-tensor
@@ -363,18 +357,17 @@ def _difference_table(d: np.ndarray) -> np.ndarray:
     """
     n, m = d.shape
     budget_rows = max(1, _BLOCK_CELLS // (n * m))
-    blocks = _row_blocks(n, n * n * m, min(n, budget_rows))
-    rows = budget_rows // len(blocks)
+    workers = min(_worker_count(n * n * m), budget_rows)
+    height, columns = budget_rows // workers, np.arange(m)
+    shares = _cost_shares([(a, min(a + height, n), columns) for a in range(0, n, height)], workers)
     counts = np.empty((n, n))
 
-    def fill(block: slice, buf: np.ndarray) -> None:
-        for start in range(block.start, block.stop, rows):
-            r = slice(start, min(start + rows, block.stop))
-            diff = buf[: r.stop - r.start]
-            np.subtract(d[r, None, :], d[None, :, :], out=diff)
-            diff.sum(axis=2, out=counts[r])
+    def fill(share: list, buf: np.ndarray) -> None:
+        for a, b, _ in share:
+            np.subtract(d[a:b, None, :], d[None, :, :], out=buf[: b - a])
+            buf[: b - a].sum(axis=2, out=counts[a:b])
 
-    jobs = [(b, np.empty((min(rows, b.stop - b.start), n, m))) for b in blocks]
+    jobs = [(share, np.empty((max(b - a for a, b, _ in share), n, m))) for share in shares]
     _fill_row_blocks(fill, jobs)
     return counts
 

@@ -83,6 +83,11 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # by a share boundary split between the two
     ("scoring.py", "share = (2 * ends - cost) * workers //", "share = (2 * ends - cost) * 0 //", SCORING),
     ("scoring.py", "[(max(a, lo), min(b, hi), cols) for a, b, cols in tiles", "[(a, b, cols) for a, b, cols in tiles", SCORING),
+    # difference mode's tiles cover every row, its workers are no more than its budgeted
+    # rows, and its tiles are shared out among them
+    ("scoring.py", "(a, min(a + height, n), columns)", "(a, min(a + height, n - 1), columns)", SCORING),
+    ("scoring.py", "workers = min(_worker_count(n * n * m), budget_rows)", "workers = _worker_count(n * n * m)", SCORING),
+    ("scoring.py", "for a in range(0, n, height)], workers)", "for a in range(0, n, height)], 1)", SCORING),
     # q is the level map of the degrees minus epsilon
     ("scoring.py", "values.searchsorted(values - COMPARISON_EPSILON)", "values.searchsorted(values)", SCORING),
     # a spec's variable names and partition codes are not empty

@@ -238,3 +238,15 @@ def test_label_encoding_onto_unknown_classes_is_a_config_error():
     with pytest.raises(ConfigError, match=r"got \['case', 'control'\]"):
         DatasetSchema(label_encoding={"1": "control", "2": "case"})
     assert DatasetSchema(label_encoding={"0": HEALTHY_CONTROL, "1": PATIENT}).label_encoding["1"] == PATIENT
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"column_map": None}, "column map must map strings to strings"),
+    ({"column_map": {"Age": 3}}, "column map must map strings to strings"),
+    ({"label_encoding": None}, "label encoding must map strings to strings"),
+    ({"label_encoding": {1: PATIENT}}, "label encoding must map strings to strings"),
+    ({"id_column": 0}, "id column must be a string or None"),
+], ids=repr)
+def test_schema_fields_of_the_wrong_type_are_config_errors(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        DatasetSchema(**kwargs)

@@ -164,12 +164,14 @@ def test_every_field_but_the_output_location_moves_the_hash():
     ("run", {"threshold": None}),
     ("run", {"combiner": ["max"]}),
     ("run", {"out_dir": 5}),
+    ("run", {"schema": "x"}),
     ("curves", {"samples_per_curve": 5.5}),
     ("curves", {"samples_per_curve": np.int64(5)}),
 ], ids=repr)
 def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, command, kwargs):
     out = tmp_path / "out"
-    with pytest.raises(ConfigError, match=r"must be (an? (string|number|integer)|one of)"):
+    kind = r"a DatasetSchema" if "schema" in kwargs else r"(an? (string|number|integer)|one of)"
+    with pytest.raises(ConfigError, match=f"must be {kind}"):
         if command == "run":
             run_pipeline(PipelineConfig(**{"out_dir": str(out), **kwargs}))
         else:

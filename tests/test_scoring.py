@@ -353,25 +353,41 @@ def test_count_tiles_skip_only_the_columns_every_row_of_the_tile_wins(case):
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7])
-@pytest.mark.parametrize("case", ["partition-max-product", "one-dominant-pattern"])
-def test_count_shares_cut_the_sorted_rows_into_even_costs(monkeypatch, case, workers):
+@pytest.mark.parametrize("mode, case, budget_rows", [
+    ("count", "partition-max-product", None),
+    ("count", "one-dominant-pattern", None),
+    ("difference", "partition-max-product", None),
+    ("difference", "partition-max-product", 5),  # tiles of 5 // workers rows
+    ("difference", "n=2", 5),
+], ids=str)
+def test_shares_cut_the_rows_into_even_costs(monkeypatch, mode, case, budget_rows, workers):
     s = PARALLEL_CASES[case]
     n, m = s.degrees.shape
     _force_workers(monkeypatch, workers)
+    if budget_rows is not None:
+        monkeypatch.setattr(scoring, "_BLOCK_CELLS", budget_rows * n * m)
     jobs = []
     fill = scoring._fill_row_blocks
     monkeypatch.setattr(scoring, "_fill_row_blocks", lambda f, js: (jobs.extend(js), fill(f, js)))
-    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
-    shares = [[(a, b, len(cols)) for a, b, cols, _ in job[0]] for job in jobs]
-    assert len(shares) == workers
-    # one contiguous run of the sorted rows each, in order, every row once
+    counts = comparison_table(s, mode).counts
+    if mode == "count":
+        assert np.array_equal(counts, _dense_count(s.degrees))
+    else:
+        assert np.array_equal(counts.view(np.int64), _dense_difference(s.degrees).view(np.int64))
+    shares = [[(tile[0], tile[1], len(tile[2])) for tile in job[0]] for job in jobs]
+    # one worker a row; difference mode never more than it has budgeted rows
+    assert len(shares) == min(workers, n, budget_rows or n)
+    # one contiguous run of the (sorted) rows each, in order, every row once
     spans = [(a, b) for share in shares for a, b, _ in share]
     assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]] and spans[-1][1] == n
     # a row costs its compared columns plus one: no share over an even share plus one row
     costs = [sum((b - a) * (k + 1) for a, b, k in share) for share in shares]
-    assert max(costs) <= sum(costs) / workers + m + 1
+    assert max(costs) <= sum(costs) / len(shares) + m + 1
     # so no worker compares more cells than a row block of the even split, plus a row
-    assert max(sum((b - a) * k for a, b, k in share) for share in shares) <= (n / workers + 1) * (m + 1)
+    assert max(sum((b - a) * k for a, b, k in share) for share in shares) <= (n / len(shares) + 1) * (m + 1)
+    if mode == "difference":  # each buffer holds its share's largest tile, together no more than the budgeted rows
+        assert [job[1].shape for job in jobs] == [(max(b - a for a, b, _ in share), n, m) for share in shares]
+        assert sum(job[1].shape[0] for job in jobs) <= (budget_rows or n)
     if case == "one-dominant-pattern":  # its 290-row tile was split between workers
         order, tiles = scoring._pattern_tiles(_saturation(s), max(1, scoring._TILE_CELLS // n))
         assert max(b - a for a, b, _ in tiles) == 290 > n / workers + 1
