@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
-from .errors import ConfigError, DataError
+import numpy as np
+
+from .errors import ConfigError, DataError, InternalError
 from .variables import HEALTHY_CONTROL, PATIENT, Cohort, VariableSpec, default_variable_specs
 
 __all__ = [
@@ -93,6 +95,10 @@ def load_csv(
     whose values must be unique. Every column read (the class and ID columns
     included) must be named exactly once in the header; other columns may
     repeat. Parse failures name the row and column.
+
+    Each column is read in one pass (see ``_read_columns``). Where any check
+    fails, the rows are walked in file order (``_raise_first_bad_cell``), so
+    the error is the one for the first bad cell, as a cell-by-cell read gives.
     """
     if specs is None:
         specs = default_variable_specs()
@@ -102,7 +108,7 @@ def load_csv(
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if r and any(map(str.strip, r))]
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
@@ -120,27 +126,76 @@ def load_csv(
         for canonical in columns + [LABEL_COLUMN]
     }
     id_index = None if schema.id_column is None else position(schema.id_column, "ID column")
+    read = (rows[1:], header, index, columns, schema.label_encoding, id_index)
+    cohort = _read_columns(*read)
+    if cohort is None:
+        _raise_first_bad_cell(path, *read)
+    return cohort
 
-    values: dict[str, list[float]] = {col: [] for col in columns}
-    ids: dict[str, None] = {}  # insertion-ordered, for the duplicate check
-    labels = []
-    for pos, row in enumerate(rows[1:], start=1):
+
+def _read_columns(
+    body: list[list[str]], header: list[str], index: dict[str, int], columns: list[str],
+    encoding: Mapping[str, str], id_index: int | None,
+) -> Cohort | None:
+    """The cohort, read one column at a time, or None if any cell fails a check.
+
+    Each measurement column is stripped, checked as ``_parse_measurement``
+    checks a cell (not empty, no ``_``, ASCII only) on the whole column at
+    once, mapped through ``float`` and checked for finiteness and sign with
+    numpy. The rows' widths, the labels and the IDs are checked as a whole too.
+    """
+    if any(len(row) != len(header) for row in body):
+        return None
+    values = {}
+    for col in columns:
+        tokens = [row[index[col]].strip() for row in body]
+        joined = "".join(tokens)
+        if not all(tokens) or "_" in joined or not joined.isascii():
+            return None
+        try:
+            xs = np.fromiter(map(float, tokens), float, len(tokens))
+        except ValueError:
+            return None
+        if not (np.isfinite(xs).all() and (xs >= 0).all()):
+            return None
+        values[col] = xs
+    raw_labels = [row[index[LABEL_COLUMN]].strip() for row in body]
+    if not encoding.keys() >= set(raw_labels):
+        return None
+    if id_index is None:
+        ids = [f"{OBJECT_ID_PREFIX}{pos}" for pos in range(1, len(body) + 1)]
+    else:
+        ids = [row[id_index].strip() for row in body]
+        if len(set(ids)) != len(ids):
+            return None
+    return Cohort(tuple(ids), values, tuple(map(encoding.__getitem__, raw_labels)))
+
+
+def _raise_first_bad_cell(
+    path, body: list[list[str]], header: list[str], index: dict[str, int], columns: list[str],
+    encoding: Mapping[str, str], id_index: int | None,
+) -> NoReturn:
+    """Raise the ``DataError`` of the first bad cell, walking the rows in file
+    order: a row's width, its measurements in ``columns`` order, its label,
+    then its ID. Raise ``InternalError`` if no cell is bad, since
+    ``_read_columns`` then refused a file it should have read."""
+    ids: set[str] = set()
+    for pos, row in enumerate(body, start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {pos} has {len(row)} cells, expected {len(header)}")
         for col in columns:
-            values[col].append(_parse_measurement(row[index[col]], pos, header[index[col]]))
+            _parse_measurement(row[index[col]], pos, header[index[col]])
         raw_label = row[index[LABEL_COLUMN]].strip()
-        if raw_label not in schema.label_encoding:
+        if raw_label not in encoding:
             raise DataError(
                 f"{path}: row {pos}: unknown label value {raw_label!r} "
-                f"(expected one of {sorted(schema.label_encoding)})"
+                f"(expected one of {sorted(encoding)})"
             )
-        labels.append(schema.label_encoding[raw_label])
         oid = row[id_index].strip() if id_index is not None else f"{OBJECT_ID_PREFIX}{pos}"
         if oid in ids:
             raise DataError(f"{path}: row {pos}: duplicate object ID {oid!r}")
-        ids[oid] = None
-    return Cohort(tuple(ids), values, tuple(labels))
+        ids.add(oid)
+    raise InternalError(f"{path}: the column checks refused a file whose every cell is valid")
 
 
 # The published ten-patient sample, with ground-truth classes: the first five

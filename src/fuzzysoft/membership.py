@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "MembershipFunction",
+    "evaluate_columns",
     "make_piecewise",
     "triangle",
     "left_shoulder",
@@ -75,6 +77,24 @@ class MembershipFunction:
         # interpolation rounding can step a hair outside [0, 1] at subnormal
         # breakpoint degrees; the clip is identity everywhere else
         return np.clip(ys, 0.0, 1.0)
+
+
+def evaluate_columns(functions: Sequence[MembershipFunction], xs) -> np.ndarray:
+    """Degree of each function at each measurement of the 1-D ``xs``, one
+    column per function: column j is bit for bit ``functions[j].evaluate_many(xs)``.
+
+    The measurements are checked once for all the functions, each column is
+    one ``np.interp`` into one preallocated matrix, and one clip covers the
+    whole matrix, so a variable costs a few numpy calls per partition, not
+    ``evaluate_many``'s checks, clip and stacking for each.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():
+        raise ValueError("measurements must be finite")
+    out = np.empty((len(xs), len(functions)))
+    for j, mf in enumerate(functions):
+        out[:, j] = np.interp(xs, mf._xs, mf._ys, left=mf.left_tail, right=mf.right_tail)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def make_piecewise(nodes, left_tail: float = 0.0, right_tail: float = 0.0) -> MembershipFunction:

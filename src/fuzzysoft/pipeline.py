@@ -38,6 +38,7 @@ import numpy as np
 from . import __version__, fixtures
 from .errors import ConfigError, DataError, InternalError
 from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv
+from .membership import evaluate_columns
 from .reduction import find_reductions
 from .scoring import (
     MODES,
@@ -329,7 +330,9 @@ def emit_curves(
 
     Columns are x plus one degree column per partition code, sampled evenly
     over the variable's display range, written by ``grid_chunks`` with x as
-    the row ID. These files replace the study's curve figures with plot-ready data.
+    the row ID. The degrees are ``membership.evaluate_columns``, the same
+    per-variable evaluation as ``fuzzify_cohort``'s. These files replace the
+    study's curve figures with plot-ready data.
     """
     if isinstance(samples_per_curve, bool) or not isinstance(samples_per_curve, int):
         raise ConfigError(f"samples per curve must be an integer, got {samples_per_curve!r}")
@@ -344,7 +347,7 @@ def emit_curves(
     outputs = []
     for spec in specs:
         xs = np.linspace(*spec.display_range, samples_per_curve)
-        degrees = np.column_stack([p.mf.evaluate_many(xs) for p in spec.partitions])
+        degrees = evaluate_columns([p.mf for p in spec.partitions], xs)
         header = ("x", *(p.code for p in spec.partitions))
         outputs.append((f"curves_{spec.name}.csv", grid_chunks(header, map(fmt, xs.tolist()), degrees, fmt)))
     return _atomic_write(out, outputs, "curves")

@@ -12,7 +12,6 @@ formulas; ``errata_report`` lists every such cell instead of patching the math.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -21,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .membership import MembershipFunction, left_shoulder, make_piecewise, right_shoulder, triangle
+from .membership import MembershipFunction, evaluate_columns, left_shoulder, make_piecewise, right_shoulder, triangle
 from .softset import FuzzySoftSet
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "specs_from_json",
     "load_variable_specs",
 ]
-
-log = logging.getLogger(__name__)
 
 # Ground-truth classes a record may carry.
 HEALTHY_CONTROL = "healthy-control"
@@ -224,8 +221,11 @@ def fuzzify_cohort(cohort: Cohort, specs: Sequence[VariableSpec]) -> list[FuzzyS
     """Fuzzify a cohort into one fuzzy soft set per variable.
 
     Row order follows the cohort; parameter labels are the qualified
-    per-variable labels. A record landing outside every partition's support is
-    legal (an all-zero row); each variable logs one warning counting them.
+    per-variable labels. Each variable's column is evaluated at once, every
+    partition into one matrix (``membership.evaluate_columns``, which
+    ``pipeline.emit_curves`` shares). A record landing outside every
+    partition's support is legal (an all-zero row); each variable logs one
+    warning counting them.
     """
     universe = cohort.ids
     sets = []
@@ -235,11 +235,13 @@ def fuzzify_cohort(cohort: Cohort, specs: Sequence[VariableSpec]) -> list[FuzzyS
                 f"no {spec.column!r} measurement for any of the {len(universe)} record(s): "
                 f"{_first_ids(universe)}"
             )
-        xs = cohort.columns[spec.column]
-        degrees = np.column_stack([p.mf.evaluate_many(xs) for p in spec.partitions])
+        degrees = evaluate_columns([p.mf for p in spec.partitions], cohort.columns[spec.column])
         outside = [universe[i] for i in np.flatnonzero(degrees.max(axis=1) == 0.0)]
         if outside:
-            log.warning(
+            # here, not at import: importing logging is several ms of `import fuzzysoft`
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "%d record(s) have %s outside every %s partition (all degrees zero): %s",
                 len(outside), spec.column, spec.name, _first_ids(outside),
             )

@@ -35,6 +35,7 @@ PIPELINE = ("tests/test_pipeline.py",)
 VERIFY = ("tests/test_verify.py",)
 PROPERTIES = ("tests/test_properties.py",)
 SOFTSET = ("tests/test_softset.py",)
+INGEST = ("tests/test_ingest.py",)
 
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the documented tolerances, pinned by cases with a 5e-9 gap
@@ -93,7 +94,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # a spec's variable names and partition codes are not empty
     ("variables.py", "if not self.name or not all(codes):", "if False:", CLI),
     # a leading BOM is skipped in the data CSV and in the spec JSON
-    ("ingest.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_ingest.py",)),
+    ("ingest.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', INGEST),
     ("variables.py", 'encoding="utf-8-sig"', 'encoding="utf-8"', ("tests/test_cli.py",)),
     # each error type carries its exit code; write failures and config checks are config errors
     ("errors.py", "exit_code = 2", "exit_code = 1", CLI),
@@ -126,6 +127,17 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # a membership curve's left tail is the left one
     ("membership.py", "left=self.left_tail, right=self.right_tail", "left=self.right_tail, right=self.left_tail",
      ("tests/test_membership.py",)),
+    # a variable's matrix of degrees is clipped to [0, 1] as each evaluate_many column is
+    ("membership.py", "return np.clip(out, 0.0, 1.0, out=out)", "return out", ("tests/test_membership.py",)),
+    # a column read strips its cells before checking them, refuses an underscore and a
+    # ragged row, and leaves any refusal to the row walk, which names the first bad cell
+    ("ingest.py", "tokens = [row[index[col]].strip() for row in body]", "tokens = [row[index[col]] for row in body]",
+     INGEST),
+    ("ingest.py", 'if not all(tokens) or "_" in joined or', "if not all(tokens) or", INGEST),
+    ("ingest.py", "if any(len(row) != len(header) for row in body):\n        return None",
+     "if False:\n        return None", INGEST),
+    ("ingest.py", "        _raise_first_bad_cell(path, *read)", '        raise DataError(f"{path}: cannot read a cell")',
+     INGEST),
 ]
 
 

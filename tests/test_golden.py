@@ -8,6 +8,10 @@ config hash covers the data path string, which differs between checkouts.
 
 The digests live in ``data/golden_digests.json``. To re-record them after an
 intended output change: ``PYTHONPATH=src python tests/test_golden.py``.
+
+``data/curves_digests.json`` pins the default ``fuzzysoft curves`` files the
+same way. It was recorded while each curve column was its own
+``evaluate_many`` call, and the command above does not re-record it.
 """
 import concurrent.futures
 import hashlib
@@ -32,6 +36,7 @@ CONFIGS = {
 
 GOLDEN_FILE = Path(__file__).parent / "data" / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+CURVES = json.loads((Path(__file__).parent / "data" / "curves_digests.json").read_text(encoding="utf-8"))
 
 
 def normalized_digests(out: Path) -> dict[str, str]:
@@ -59,6 +64,12 @@ def run_config(name: str, out: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_golden_digests(name, tmp_path):
     assert run_config(name, tmp_path / "out") == GOLDEN[name]
+
+
+def test_curves_match_recorded_digests(tmp_path):
+    # the curves have no footer and no manifest, so their digests are plain sha256
+    assert main(["curves", "--out", str(tmp_path / "curves")]) == 0
+    assert normalized_digests(tmp_path / "curves") == CURVES
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

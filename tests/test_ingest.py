@@ -1,3 +1,6 @@
+import csv
+
+import numpy as np
 import pytest
 
 from fuzzysoft import (
@@ -12,6 +15,7 @@ from fuzzysoft import (
     load_csv,
     right_shoulder,
 )
+from fuzzysoft.ingest import _parse_measurement
 
 MU = "μ_"
 
@@ -149,6 +153,17 @@ def test_first_bad_cell_in_file_order_is_reported(tmp_path):
     path = _write(tmp_path, HEADER + "\n50,25.0,90,4.2,2.1,ten,12,8,300,1\nfifty,25.0,90,4.2,2.1,10,12,8,300,1\n")
     with pytest.raises(DataError, match=r"row 1, column 'Leptin'"):
         load_csv(path)
+    # a bad label on an earlier row comes before bad cells in two columns
+    path = _write(tmp_path, HEADER + "\n50,25.0,90,4.2,2.1,10,12,8,300,3\nfifty,25.0,90,-4,2.1,ten,12,8,300,1\n")
+    with pytest.raises(DataError, match=r"row 1: unknown label value '3'"):
+        load_csv(path)
+    # within a row, the columns in order; a later column's bad cell on an earlier row first
+    path = _write(tmp_path, HEADER + "\n50,25.0,90,4.2,2.1,10,nan,8,300,1\n,25.0,90,x,2.1,ten,12,8,300,3\n")
+    with pytest.raises(DataError, match=r"row 1, column 'Adiponectin': value 'nan' is not finite"):
+        load_csv(path)
+    path = _write(tmp_path, HEADER + "\n50,25.0,90,4.2,2.1,10,12,8,300,1\n50,25.0,90,x,2.1,ten,12,8,300,3\n")
+    with pytest.raises(DataError, match=r"row 2, column 'Insulin': cannot parse 'x'"):
+        load_csv(path)
 
 
 def test_header_only_file_gives_an_empty_cohort(tmp_path):
@@ -250,3 +265,83 @@ def test_label_encoding_onto_unknown_classes_is_a_config_error():
 def test_schema_fields_of_the_wrong_type_are_config_errors(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         DatasetSchema(**kwargs)
+
+
+# Cells that a column-at-a-time read must take exactly as a cell-by-cell read does:
+# str.strip removes "\x1c" and "\u00a0" but float() refuses the first, and the second
+# is not ASCII until stripped.
+VALID_TOKENS = ["\x1c5", "5\x1f", "\u00a05", "\t 5 \t", " 5", "+5", ".5", "5.", "1e3", "-0"]
+TOKENS = VALID_TOKENS + ["infinity", "nan", "0x10", "1_0", "٣", "", "   "]
+
+
+def _reference_load(path):
+    """A cell-by-cell reading of a default-layout file, built on ``_parse_measurement``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
+    header = [h.strip() for h in rows[0]]
+    values = {col: [] for col in COLUMNS}
+    labels = []
+    for pos, row in enumerate(rows[1:], start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {pos} has {len(row)} cells, expected {len(header)}")
+        for col in COLUMNS:
+            values[col].append(_parse_measurement(row[header.index(col)], pos, col))
+        label = row[header.index("Classification")].strip()
+        if label not in ("1", "2"):
+            raise DataError(f"{path}: row {pos}: unknown label value {label!r} (expected one of ['1', '2'])")
+        labels.append(HEALTHY_CONTROL if label == "1" else PATIENT)
+    return {col: np.array(xs, dtype=float) for col, xs in values.items()}, tuple(labels)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_reads_alike(path):
+    """``load_csv`` reads ``path`` as ``_reference_load`` does; returns the reference's outcome."""
+    got, want = _outcome(load_csv, path), _outcome(_reference_load, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        columns, labels = want
+        assert got.labels == labels
+        # bit for bit, the sign of -0.0 included
+        assert {c: xs.tobytes() for c, xs in got.columns.items()} == {c: xs.tobytes() for c, xs in columns.items()}
+    return want
+
+
+def _rows_csv(rows):
+    return HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+GOOD_ROW = ["50", "25.0", "90", "4.2", "2.1", "10", "12", "8", "300", "1"]
+
+
+@pytest.mark.parametrize("token", TOKENS, ids=repr)
+@pytest.mark.parametrize("column", [0, 3, 6], ids=["Age", "Insulin", "Adiponectin"])
+def test_each_token_alone_reads_as_a_cell_by_cell_read(tmp_path, token, column):
+    bad = list(GOOD_ROW)
+    bad[column] = token
+    _assert_reads_alike(_write(tmp_path, _rows_csv([GOOD_ROW, bad, GOOD_ROW])))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tokens_mixed_in_one_file_read_as_a_cell_by_cell_read(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for r in range(len(TOKENS)):
+        row = list(GOOD_ROW)
+        for k, col in enumerate((0, 1, 3, 5, 6)):
+            if seed == 0:  # every valid token in every column read
+                row[col] = VALID_TOKENS[(r + k) % len(VALID_TOKENS)]
+            elif rng.random() < 0.4:  # mixtures in which the first bad cell moves about
+                row[col] = TOKENS[rng.integers(len(TOKENS))]
+        rows.append(row)
+    outcome = _assert_reads_alike(_write(tmp_path, _rows_csv(rows)))
+    assert seed != 0 or not isinstance(outcome, str)
+    # a row of extra cells or a bad label after the mixture's rows
+    _assert_reads_alike(_write(tmp_path, _rows_csv(rows + [GOOD_ROW + ["7"]]), "long.csv"))
+    _assert_reads_alike(_write(tmp_path, _rows_csv(rows + [GOOD_ROW[:-1] + ["0"]]), "label.csv"))

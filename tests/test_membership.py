@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzysoft import make_piecewise, left_shoulder, right_shoulder, triangle
+from fuzzysoft.membership import evaluate_columns
 
 
 def test_old_age_saturates_above_last_node():
@@ -113,3 +114,35 @@ def test_single_node_function():
     assert mf.evaluate(4.9) == 0.0
     assert mf.evaluate(5.1) == 1.0
     assert math.isclose(mf.evaluate(5.0), 0.7)
+
+
+def test_evaluate_columns_is_evaluate_many_column_by_column():
+    tiny = 5e-324  # the smallest subnormal
+    functions = [
+        # nodes written -0.0, at x and in degree
+        make_piecewise([(-0.0, -0.0), (1, 1.0), (2, -0.0)]),
+        make_piecewise([(0, 0.5), (3, -0.0)], left_tail=-0.0, right_tail=0.0),
+        # subnormal degrees: interpolating from 2 * tiny down to 0 rounds to -tiny
+        # at some points, which the clip takes back to zero
+        make_piecewise([(4.27704282037358, 3 * tiny), (6.219002487819857, 0.0)]),
+        make_piecewise([(-9.93081344549575, 2 * tiny), (-6.194542692081166, 0.0)], right_tail=tiny),
+        make_piecewise([(0, tiny), (1, 1.0 - 2**-53), (2, 1.0)], left_tail=0.25, right_tail=0.75),
+        triangle(10, 25, 40),
+    ]
+    nodes = sorted({x for mf in functions for x, _ in mf.nodes})
+    xs = np.array(
+        [v for x in nodes for v in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf))]
+        + [-1e6, -0.0, 0.0, 1e6, 6.086728198479897, -7.409605530883176]  # both tails, signed zeros
+        + np.linspace(-12, 45, 2001).tolist()
+    )
+    # the subnormal functions do step below zero before the clip
+    assert (np.interp(xs, *zip(*functions[2].nodes)) < 0).any()
+    assert (np.interp(xs, *zip(*functions[3].nodes)) < 0).any()
+    got = evaluate_columns(functions, xs)
+    assert got.shape == (len(xs), len(functions)) and got.flags.c_contiguous
+    for j, mf in enumerate(functions):
+        assert got[:, j].tobytes() == mf.evaluate_many(xs).tobytes(), j  # sign of zero included
+    assert evaluate_columns(functions, []).shape == (0, len(functions))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="measurements must be finite"):
+            evaluate_columns(functions, [1.0, bad])

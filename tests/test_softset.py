@@ -232,6 +232,18 @@ def test_validation_rejects_bad_matrices():
         FuzzySoftSet(("a",), ("p", "p"), np.array([[0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf, -5e-324, np.nextafter(1.0, 2.0)], ids=repr)
+def test_degrees_outside_the_unit_interval_are_rejected(cell):
+    for degrees in ([[cell]], [[0.5, cell], [1.0, 0.0]], [[cell, 0.5], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match=r"^degrees must lie in \[0, 1\]$"):
+            FuzzySoftSet(tuple("ab"[: len(degrees)]), tuple("pq"[: len(degrees[0])]), np.array(degrees))
+
+
+def test_signed_zero_and_one_are_degrees():
+    s = FuzzySoftSet(("a", "b"), ("p", "q"), np.array([[-0.0, 1.0], [1.0, -0.0]]))
+    assert s.degrees.tobytes() == np.array([[-0.0, 1.0], [1.0, -0.0]]).tobytes()
+
+
 def test_degree_matrix_is_read_only(computed_sets):
     with pytest.raises(ValueError):
         computed_sets["AGE"].degrees[0, 0] = 0.5

@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,15 @@ def test_out_of_support_measurement_warns_and_yields_zero_row(caplog):
     message = caplog.records[0].message
     assert "outside every" in message and "7 record(s)" in message
     assert "edge0, edge1, edge2, edge3, edge4, ..." in message and "inside" not in message
+
+
+def test_import_leaves_logging_unimported():
+    # logging is imported only where the out-of-support warning is logged
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = "import sys, fuzzysoft, fuzzysoft.cli; print('logging' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_fuzzify_cohort_is_bit_identical_to_scalar_evaluation(csv_116, specs):
