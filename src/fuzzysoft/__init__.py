@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DataError, FuzzySoftError, InternalError
 from .membership import MembershipFunction, left_shoulder, make_piecewise, right_shoulder, triangle
-from .softset import FuzzySoftSet, from_table, product, product_n, restrict, to_table
+from .softset import FuzzySoftSet, product, product_n, restrict
 from .variables import (
     HEALTHY_CONTROL,
     PATIENT,
@@ -38,10 +38,9 @@ from .scoring import (
     classify,
     comparison_table,
     evaluate,
-    format_report_text,
-    report_to_csv,
     scores,
 )
+from .text import format_report_text, from_table, report_to_csv, to_table
 from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv
 from .pipeline import BUILTIN_SOURCE, PipelineConfig, RunResult, emit_curves, run_pipeline
 from .verify import verify_fixtures

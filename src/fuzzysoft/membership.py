@@ -9,7 +9,7 @@ functions continuous on the breakpoint span and exact at every breakpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,6 @@ class MembershipFunction:
     nodes: tuple[tuple[float, float], ...]
     left_tail: float = 0.0
     right_tail: float = 0.0
-    _xs: np.ndarray = field(init=False, repr=False, compare=False)
-    _ys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nodes = tuple((float(x), float(y)) for x, y in self.nodes)
@@ -59,47 +57,41 @@ class MembershipFunction:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "left_tail", float(self.left_tail))
         object.__setattr__(self, "right_tail", float(self.right_tail))
-        for name, values in [("_xs", xs), ("_ys", ys)]:
-            array = np.array(values)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
     def evaluate(self, x: float) -> float:
         """Degree at one measurement ``x``: ``evaluate_many`` at that point."""
         return float(self.evaluate_many(x))
 
     def evaluate_many(self, xs) -> np.ndarray:
-        """Degree at each measurement; linear between breakpoints, tails outside."""
+        """Degree at each measurement; linear between breakpoints, tails outside
+        (``evaluate_columns`` of this one function, in the shape of ``xs``)."""
         xs = np.asarray(xs, dtype=float)
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("measurements must be finite")
-        ys = np.interp(xs, self._xs, self._ys, left=self.left_tail, right=self.right_tail)
-        # interpolation rounding can step a hair outside [0, 1] at subnormal
-        # breakpoint degrees; the clip is identity everywhere else
-        return np.clip(ys, 0.0, 1.0)
+        return evaluate_columns((self,), xs.ravel()).reshape(xs.shape)
 
 
 def evaluate_columns(functions: Sequence[MembershipFunction], xs) -> np.ndarray:
     """Degree of each function at each measurement of the 1-D ``xs``, one
-    column per function: column j is bit for bit ``functions[j].evaluate_many(xs)``.
+    column per function.
 
     The measurements are checked once for all the functions, each column is
-    one ``np.interp`` into one preallocated matrix, and one clip covers the
-    whole matrix, so a variable costs a few numpy calls per partition, not
-    ``evaluate_many``'s checks, clip and stacking for each.
+    one ``np.interp`` over the function's nodes into one preallocated matrix,
+    and one clip covers the whole matrix, so a variable costs a few numpy
+    calls per partition. Interpolation rounding can step a hair outside
+    [0, 1] at subnormal breakpoint degrees; the clip is identity everywhere
+    else.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.isfinite(xs).all():
         raise ValueError("measurements must be finite")
     out = np.empty((len(xs), len(functions)))
     for j, mf in enumerate(functions):
-        out[:, j] = np.interp(xs, mf._xs, mf._ys, left=mf.left_tail, right=mf.right_tail)
+        out[:, j] = np.interp(xs, *zip(*mf.nodes), left=mf.left_tail, right=mf.right_tail)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
 def make_piecewise(nodes, left_tail: float = 0.0, right_tail: float = 0.0) -> MembershipFunction:
     """Validated construction from (x, degree) pairs plus tail degrees."""
-    return MembershipFunction(tuple((x, y) for x, y in nodes), left_tail, right_tail)
+    return MembershipFunction(nodes, left_tail, right_tail)
 
 
 def triangle(a: float, peak: float, b: float) -> MembershipFunction:

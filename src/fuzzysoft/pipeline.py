@@ -7,7 +7,7 @@ Outputs are deterministic: identical configurations produce byte-identical
 files, and each text output ends with a comment line naming the config hash
 and tool version. Every output is UTF-8 bytes from the moment it is rendered:
 the small texts are encoded once, and every numeric CSV grid (the fuzzy and
-product tables, ``comparison.csv`` and the curves) is ``softset.grid_chunks``
+product tables, ``comparison.csv`` and the curves) is ``text.grid_chunks``
 bytes, rendered one block of rows at a time while it is written to
 ``<name>.tmp``, with no decoding or re-encoding on the way. The temps are
 renamed only once all are complete. If anything raises, they and any
@@ -40,23 +40,14 @@ from .errors import ConfigError, DataError, InternalError
 from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv
 from .membership import evaluate_columns
 from .reduction import find_reductions
-from .scoring import (
-    MODES,
-    ScoreReport,
-    classify,
-    comparison_table,
-    evaluate,
-    format_report_text,
-    number_format,
-    report_to_csv,
-    scores,
-)
-from .softset import COMBINERS, FixedPoint, csv_field, grid_chunks, product_n, restrict, table_chunks
+from .scoring import MODES, ScoreReport, classify, comparison_table, evaluate, scores
+from .softset import COMBINERS, product_n, restrict
+from .text import FixedPoint, csv_field, format_report_text, grid_chunks, number_format, report_to_csv, table_chunks
 
-# Not called here: tables are written from table_chunks. Kept as a name of
-# this module because perfbench/spans.py wraps every stage function by its
-# name here, to_table among them.
-from .softset import to_table  # noqa: F401
+# Not called here: tables are written by table_chunks, which to_table only
+# joins. perfbench/spans.py wraps it by this name, so its span,
+# softset.to_table_s, is installed but reads 0.
+from .text import to_table  # noqa: F401
 from .variables import (
     VariableSpec,
     default_variable_specs,

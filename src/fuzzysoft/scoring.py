@@ -4,7 +4,8 @@ Objects are ranked by comparing their degree rows pairwise across all
 parameters. Count mode tallies, for each ordered pair (i, j), the number of
 parameters on which object i's degree is at least object j's; difference mode
 sums the degree differences instead. An object's score is its comparison-table
-row sum minus its column sum; higher scores rank as higher risk.
+row sum minus its column sum; higher scores rank as higher risk. The tables'
+and the score reports' text is in ``text``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .softset import FixedPoint, FuzzySoftSet, Levels, _code_dtype, quoted_ids
+from .softset import FuzzySoftSet, Levels, _code_dtype
 from .variables import HEALTHY_CONTROL, PATIENT
 
 __all__ = [
@@ -28,8 +29,6 @@ __all__ = [
     "scores",
     "classify",
     "evaluate",
-    "report_to_csv",
-    "format_report_text",
 ]
 
 # Degrees come from exact piecewise-linear arithmetic, so true ties are common
@@ -44,11 +43,6 @@ HEALTHY = "healthy"
 
 # A high-risk call is correct for a record labeled as patient.
 _PREDICTION_FOR_LABEL = {PATIENT: HIGH_RISK, HEALTHY_CONTROL: HEALTHY}
-
-
-def number_format(mode: str, decimals: int = 6) -> Callable[[object], str]:
-    """Counts as integers, differences to ``decimals`` places, in tables and reports."""
-    return (lambda v: str(int(v))) if mode == "count" else FixedPoint(decimals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,34 +405,3 @@ def evaluate(predictions: Mapping[str, str], labels: Mapping[str, str]) -> float
         1 for oid, label in labels.items() if predictions[oid] == _PREDICTION_FOR_LABEL.get(label)
     )
     return correct / len(labels)
-
-
-def _score_rows(report: ScoreReport):
-    """``(object, row_sum, column_sum, score)`` per object, each array read once as Python numbers."""
-    return zip(report.universe, report.row_sums.tolist(), report.column_sums.tolist(), report.scores.tolist())
-
-
-def report_to_csv(report: ScoreReport, labels: Mapping[str, str] | None = None) -> str:
-    """CSV rendering: ``object,row_sum,column_sum,score,prediction,label``."""
-    fmt = number_format(report.mode)
-    lines = ["object,row_sum,column_sum,score,prediction,label"]
-    quoted, _ = quoted_ids(tuple(report.universe))  # the run's quoted IDs, shared with its tables
-    for head, (oid, row_sum, column_sum, score) in zip(quoted, _score_rows(report)):
-        pred = report.predictions.get(oid, "") if report.predictions else ""
-        label = labels.get(oid, "") if labels else ""
-        lines.append(f"{head},{fmt(row_sum)},{fmt(column_sum)},{fmt(score)},{pred},{label}")
-    return "\n".join(lines) + "\n"
-
-
-def format_report_text(report: ScoreReport, decimals: int = 2) -> str:
-    """Aligned text table of row sums, column sums, scores and predictions."""
-    fmt = number_format(report.mode, decimals)
-    rows = [("Sample No", "Row Sum", "Column Sum", "Score", "Prediction")]
-    for oid, row_sum, column_sum, score in _score_rows(report):
-        pred = report.predictions.get(oid, "") if report.predictions else ""
-        rows.append((oid, fmt(row_sum), fmt(column_sum), fmt(score), pred))
-    widths = [max(len(r[c]) for r in rows) for c in range(5)]
-    lines = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
-    if report.accuracy is not None:
-        lines.append(f"accuracy: {report.accuracy:.2f}")
-    return "\n".join(lines) + "\n"

@@ -114,20 +114,22 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("softset.py", "itertools.product(*(s.parameters for s in sets))",
      "itertools.product(*(s.parameters for s in sets[::-1]))", (*PROPERTIES, *SOFTSET)),
     # a -0.0 cell is written as its own text
-    ("softset.py", "np.append(values, -0.0)", "np.append(values, 0.0)", SOFTSET),
+    ("text.py", "np.append(values, -0.0)", "np.append(values, 0.0)", SOFTSET),
+    # a grid's IDs and rows are as many
+    ("text.py", "if len(ids) != len(grid):", "if False:", SOFTSET),
     # fixed-point texts: a scaled value near a half goes to Python's format, the sign
     # sits in its own column, and an integer part's leading zeros are blank
-    ("_fixed_point.py", "fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52", "fast &= True", SOFTSET),
-    ("_fixed_point.py", "raw[:, len(lead)] = np.where(sign", "raw[:, len(lead) + 1] = np.where(sign", SOFTSET),
-    ("_fixed_point.py", "blanks += whole == 0", "pass", SOFTSET),
+    ("text.py", "fast &= np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52", "fast &= True", SOFTSET),
+    ("text.py", "raw[:, len(lead)] = np.where(sign", "raw[:, len(lead) + 1] = np.where(sign", SOFTSET),
+    ("text.py", "blanks += whole == 0", "pass", SOFTSET),
     # the run's quoted IDs are cached by the IDs themselves, not by their count
-    ("softset.py", "@lru_cache(maxsize=1)\ndef quoted_ids(",
+    ("text.py", "@lru_cache(maxsize=1)\ndef quoted_ids(",
      "@(lambda build: lambda ids, _cache={}: _cache.get(len(ids)) or _cache.setdefault(len(ids), build(ids)))\n"
      "def quoted_ids(", PIPELINE),
     # a membership curve's left tail is the left one
-    ("membership.py", "left=self.left_tail, right=self.right_tail", "left=self.right_tail, right=self.left_tail",
+    ("membership.py", "left=mf.left_tail, right=mf.right_tail", "left=mf.right_tail, right=mf.left_tail",
      ("tests/test_membership.py",)),
-    # a variable's matrix of degrees is clipped to [0, 1] as each evaluate_many column is
+    # a variable's matrix of degrees is clipped to [0, 1]
     ("membership.py", "return np.clip(out, 0.0, 1.0, out=out)", "return out", ("tests/test_membership.py",)),
     # a column read strips its cells before checking them, refuses an underscore and a
     # ragged row, and leaves any refusal to the row walk, which names the first bad cell

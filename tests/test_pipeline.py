@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzysoft import ConfigError, DatasetSchema, from_table, pipeline, softset
+from fuzzysoft import ConfigError, DatasetSchema, from_table, pipeline, text
 from fuzzysoft.cli import main
 from fuzzysoft.pipeline import PipelineConfig, emit_curves, run_pipeline
 
@@ -61,7 +61,7 @@ def test_run_memory_is_bounded(tmp_path, csv_116):
 
 def _fail_in_block_rendering(monkeypatch, failing_call, exc):
     """Make the ``failing_call``-th row-block rendering raise ``exc`` after its first block."""
-    real = softset._text_blocks
+    real = text._text_blocks
     calls = itertools.count()
 
     def text_blocks(*args):
@@ -70,8 +70,8 @@ def _fail_in_block_rendering(monkeypatch, failing_call, exc):
             return blocks
         return itertools.chain(itertools.islice(blocks, 1), _raise(exc))
 
-    monkeypatch.setattr(softset, "_text_blocks", text_blocks)
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", 64)  # several blocks per table
+    monkeypatch.setattr(text, "_text_blocks", text_blocks)
+    monkeypatch.setattr(text, "_FORMAT_BLOCK_CELLS", 64)  # several blocks per table
 
 
 def _raise(exc):
@@ -209,13 +209,13 @@ def test_a_run_quotes_each_id_once(tmp_path, csv_116, monkeypatch):
     ids = [f"once,{i}" for i in range(116)]
     data = _named_cohort_csv(tmp_path / "named.csv", csv_116, ids)
     calls = collections.Counter()
-    real = softset.csv_field
+    real = text.csv_field
 
-    def counted(text):
-        calls[text] += 1
-        return real(text)
+    def counted(cell):
+        calls[cell] += 1
+        return real(cell)
 
-    for module in (softset, pipeline):
+    for module in (text, pipeline):
         monkeypatch.setattr(module, "csv_field", counted)
     cfg = PipelineConfig(
         data_source=str(data), schema=DatasetSchema(id_column="Name"), reduction="off", out_dir=str(tmp_path / "out")

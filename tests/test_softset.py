@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzysoft import softset
 from fuzzysoft import (
     DataError,
     FuzzySoftSet,
@@ -17,7 +16,7 @@ from fuzzysoft import (
     to_table,
 )
 from fuzzysoft.scoring import ComparisonTable
-from fuzzysoft.softset import FixedPoint, csv_field, grid_chunks
+from fuzzysoft.text import FixedPoint, csv_field, grid_chunks, table_chunks
 
 MU = "μ_"
 X = "×"
@@ -295,7 +294,7 @@ _QUOTED_IDS = ("plain", "with,comma", 'with"quote', " spaced ", "", "semi;colon"
 @pytest.mark.parametrize("block_cells", [1, 7, 1 << 14])
 @pytest.mark.parametrize("decimals", [None, 6, 2])
 def test_to_table_equals_per_cell_formatting(monkeypatch, block_cells, decimals):
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr("fuzzysoft.text._FORMAT_BLOCK_CELLS", block_cells)
     for s in (
         _edge_set(), _edge_set(len(_QUOTED_IDS), 1, _QUOTED_IDS), _edge_set(3, 0),
         _edge_set(len(_QUOTED_IDS), 0, _QUOTED_IDS),
@@ -313,7 +312,7 @@ def test_to_table_keeps_signed_zero_apart():
 @pytest.mark.parametrize("combiner", ["max", "min"])
 @pytest.mark.parametrize("decimals", [None, 6])
 def test_product_tying_signed_zeros_renders_its_float_degrees(monkeypatch, block_cells, combiner, decimals):
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr("fuzzysoft.text._FORMAT_BLOCK_CELLS", block_cells)
     # np.maximum and np.minimum return the second operand on a -0.0/0.0 tie,
     # and the product's codes hold both zeros as one level
     a = FuzzySoftSet(("w", "x", "y", "z"), ("p", "q"), np.array([[0.5, 1.0], [-0.0, 0.0], [0.0, -0.0], [0.5, -0.0]]))
@@ -372,7 +371,7 @@ def _grid_text(grid, fmt, per_cell_fmt=None, levels=None):
 
 @pytest.mark.parametrize("block_cells", [1, 6, 1 << 14])
 def test_grid_chunks_are_the_per_cell_text_in_utf8(monkeypatch, block_cells):
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr("fuzzysoft.text._FORMAT_BLOCK_CELLS", block_cells)
     ids = ("a\x00b", "é,ü", f"{MU}1", "\x00", f"{MU}10")
     header = ("object", "p", "é", MU)
     # repr gives level texts of unequal width: 0.5 against 0.30000000000000004
@@ -384,15 +383,22 @@ def test_grid_chunks_are_the_per_cell_text_in_utf8(monkeypatch, block_cells):
     s = FuzzySoftSet(ids, header[1:], grid)
     blocks = -(-len(ids) // max(1, block_cells // len(s.parameters)))
     # each block's own levels, and the soft set's levels
-    for chunks in (list(grid_chunks(header, ids, grid, repr)), list(softset.table_chunks(s))):
+    for chunks in (list(grid_chunks(header, ids, grid, repr)), list(table_chunks(s))):
         assert len(chunks) == 1 + blocks
         assert all(type(chunk) is bytes and b"\xff" not in chunk for chunk in chunks)
         assert b"".join(chunks) == want
 
 
+@pytest.mark.parametrize("n_ids", [2, 4])
+def test_grid_chunks_refuses_ids_and_rows_that_differ_in_number(n_ids):
+    ids = [f"r{i}" for i in range(n_ids)]
+    with pytest.raises(ValueError, match=f"{n_ids} IDs for a grid of 3 rows"):
+        list(grid_chunks(("object", "c"), ids, np.zeros((3, 1)), repr))
+
+
 @pytest.mark.parametrize("block_cells", [1, 10, 1 << 14])
 def test_format_rows_equals_per_cell_formatting(monkeypatch, block_cells):
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr("fuzzysoft.text._FORMAT_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(4)
     counts = rng.integers(-40, 40, size=(9, 12))
     floats = rng.choice(np.array(_EDGE_VALUES + [-1e-7, -0.5, 123.456789]), size=(9, 12))
@@ -429,14 +435,14 @@ def _counting(fmt):
     ids=lambda g: f"{g.dtype}-{g.shape}",
 )
 def test_format_rows_on_integer_grids_equals_per_cell_formatting(monkeypatch, block_cells, grid):
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr("fuzzysoft.text._FORMAT_BLOCK_CELLS", block_cells)
     got, want = _grid_text(grid, str)
     assert got == want
 
 
 @pytest.mark.parametrize("block_cells", [1, 5, 1 << 14])
 def test_count_table_formats_each_count_once(monkeypatch, block_cells):
-    monkeypatch.setattr(softset, "_FORMAT_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr("fuzzysoft.text._FORMAT_BLOCK_CELLS", block_cells)
     counts = np.random.default_rng(5).integers(0, 7, size=(12, 12))
     table = ComparisonTable(tuple(f"r{i}" for i in range(12)), counts, "count", parameter_count=9)
     fmt, calls = _counting(str)
