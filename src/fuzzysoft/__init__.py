@@ -19,11 +19,9 @@ from .variables import (
     HEALTHY_CONTROL,
     PATIENT,
     Cohort,
-    ErrataCell,
     Partition,
     VariableSpec,
     default_variable_specs,
-    errata_report,
     fuzzify_cohort,
     load_variable_specs,
     specs_from_json,
@@ -43,7 +41,7 @@ from .scoring import (
 from .text import format_report_text, from_table, report_to_csv, to_table
 from .ingest import DEFAULT_SCHEMA, DatasetSchema, builtin_table1, load_csv
 from .pipeline import BUILTIN_SOURCE, PipelineConfig, RunResult, emit_curves, run_pipeline
-from .verify import verify_fixtures
+from .fixtures import ErrataCell, errata_report, verify_fixtures
 
 __all__ = [
     "__version__",

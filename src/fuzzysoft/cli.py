@@ -18,7 +18,7 @@ from .pipeline import (
 from .scoring import MODES
 from .softset import COMBINERS
 from .variables import default_variable_specs, load_variable_specs
-from .verify import verify_fixtures
+from .fixtures import verify_fixtures
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; bad flags are configuration errors here.

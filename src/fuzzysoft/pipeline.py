@@ -54,7 +54,6 @@ from .variables import (
     fuzzify_cohort,
     load_variable_specs,
 )
-from .verify import errata_cells
 
 __all__ = [
     "BUILTIN_SOURCE", "REDUCTIONS", "PRODUCT_SOURCES", "PipelineConfig", "RunResult", "run_pipeline",
@@ -227,7 +226,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     var_sets = fuzzify_cohort(cohort, specs)
 
     # Errata against the published per-variable tables, where comparable.
-    errata = [(spec.name, c) for spec, s in zip(specs, var_sets) for c in errata_cells(spec.name, s) or ()]
+    errata = [(spec.name, c) for spec, s in zip(specs, var_sets) for c in fixtures.errata_cells(spec.name, s) or ()]
 
     # Optional per-variable reduction; the first (smallest) minimal reduct of
     # each variable is the one applied.

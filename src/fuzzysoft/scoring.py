@@ -401,7 +401,11 @@ def evaluate(predictions: Mapping[str, str], labels: Mapping[str, str]) -> float
         raise ValueError(
             f"prediction/label object sets differ: {sorted(set(predictions) ^ set(labels))}"
         )
-    correct = sum(
-        1 for oid, label in labels.items() if predictions[oid] == _PREDICTION_FOR_LABEL.get(label)
-    )
+    unknown = {*labels.values()} - {*_PREDICTION_FOR_LABEL} | {*predictions.values()} - {HIGH_RISK, HEALTHY}
+    if unknown:
+        raise ValueError(
+            f"unknown classes {sorted(map(repr, unknown))}: labels must be {PATIENT!r} or "
+            f"{HEALTHY_CONTROL!r} and predictions {HIGH_RISK!r} or {HEALTHY!r}"
+        )
+    correct = sum(predictions[oid] == _PREDICTION_FOR_LABEL[label] for oid, label in labels.items())
     return correct / len(labels)

@@ -5,9 +5,8 @@ partitioned into labeled fuzzy sets. Fuzzifying a cohort evaluates every
 partition's membership function at each record's measurement, producing one
 fuzzy soft set per variable over the cohort.
 
-The default partitions reproduce a published risk-ranking study. The study's
-printed fuzzy-soft-set tables are not always consistent with its own membership
-formulas; ``errata_report`` lists every such cell instead of patching the math.
+The default partitions reproduce a published risk-ranking study, whose
+printed tables and the errata found against them are in ``fixtures``.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,10 +28,8 @@ __all__ = [
     "Partition",
     "VariableSpec",
     "Cohort",
-    "ErrataCell",
     "default_variable_specs",
     "fuzzify_cohort",
-    "errata_report",
     "specs_to_json",
     "specs_from_json",
     "load_variable_specs",
@@ -130,22 +127,6 @@ class Cohort:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "columns", MappingProxyType(columns))
         object.__setattr__(self, "labels", labels)
-
-
-class ErrataCell(NamedTuple):
-    """One cell where a printed reference table contradicts the formulas."""
-
-    object_id: str
-    parameter: str
-    printed: float
-    computed: float
-    delta: float
-
-    def __str__(self) -> str:
-        return (
-            f"({self.object_id}, {self.parameter}): computed {self.computed:.4f} "
-            f"vs printed {self.printed:.4f}"
-        )
 
 
 def default_variable_specs() -> list[VariableSpec]:
@@ -247,34 +228,6 @@ def fuzzify_cohort(cohort: Cohort, specs: Sequence[VariableSpec]) -> list[FuzzyS
             )
         sets.append(FuzzySoftSet(universe=universe, parameters=tuple(spec.labels), degrees=degrees))
     return sets
-
-
-def errata_report(
-    computed: FuzzySoftSet, printed: FuzzySoftSet, tolerance: float
-) -> list[ErrataCell]:
-    """Cells where |computed - printed| exceeds ``tolerance``, largest delta first.
-
-    Both sets must share universe and parameters. The report is the mechanism
-    for surfacing defects in printed reference tables; the computed values are
-    never adjusted to match.
-    """
-    if computed.universe != printed.universe or computed.parameters != printed.parameters:
-        raise ValueError("errata_report needs identical universe and parameters")
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-    delta = np.abs(computed.degrees - printed.degrees)
-    cells = [
-        ErrataCell(
-            object_id=computed.universe[i],
-            parameter=computed.parameters[j],
-            printed=float(printed.degrees[i, j]),
-            computed=float(computed.degrees[i, j]),
-            delta=float(delta[i, j]),
-        )
-        for i, j in np.argwhere(delta > tolerance)
-    ]
-    cells.sort(key=lambda c: (-c.delta, c.object_id, c.parameter))
-    return cells
 
 
 def specs_to_json(specs: Iterable[VariableSpec]) -> str:

@@ -106,6 +106,19 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("fixtures.py", "np.maximum(lpn[:, 1], lpn[:, 2])", "lpn[:, 1]", VERIFY),
     ("fixtures.py", 'product_n(factors, "max")', 'product_n(factors, "min")', VERIFY),
     ("fixtures.py", '["(AGE)_M", "(AGE)_O"]', '["(AGE)_Y", "(AGE)_O"]', VERIFY),
+    # an erratum is a delta above the tolerance, which may be neither negative nor NaN
+    ("fixtures.py", "np.argwhere(delta > tolerance)", "np.argwhere(delta >= tolerance)", VERIFY),
+    ("fixtures.py", "if not tolerance >= 0:", "if tolerance < 0:", VERIFY),
+    # the errata pass skips a set whose objects or parameters are not the printed table's
+    ("fixtures.py", "if printed is None or (printed.universe, printed.parameters) != (\n"
+     "        computed.universe, computed.parameters\n    ):", "if printed is None:", VERIFY),
+    # the insulin table must diverge at its two known cells, and every product divergence
+    # must trace back to an input erratum
+    ("fixtures.py", "passed = passed and found == _INSULIN_ERRATA", "pass", VERIFY),
+    ("fixtures.py", "all_traceable = all(map(traceable, cells))", "all_traceable = any(map(traceable, cells))",
+     VERIFY),
+    # evaluate refuses a label or prediction it does not know
+    ("scoring.py", "if unknown:", "if False:", SCORING),
     # the product merges every operand's levels, folds the codes with its own combiner,
     # and lays out its labels row-major with the first operand slowest
     ("softset.py", "np.concatenate([s.levels.values for s in sets])",

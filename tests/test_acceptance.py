@@ -36,6 +36,7 @@ from fuzzysoft import (
     scores,
     verify_fixtures,
 )
+from fuzzysoft import fixtures
 from fuzzysoft.fixtures import (
     GROUND_TRUTH,
     PUBLISHED_SCORE_ROWS,
@@ -44,7 +45,6 @@ from fuzzysoft.fixtures import (
     published_product_table,
     published_variable_tables,
 )
-from fuzzysoft import verify
 from fuzzysoft.pipeline import PipelineConfig, run_pipeline
 from fuzzysoft.scoring import HIGH_RISK
 
@@ -221,7 +221,7 @@ def test_criterion_09_product_to_comparison_consistency():
     printed = published_comparison_table()
     ids = computed_table.universe
     m = len(product_table.parameters)
-    bar = verify._CONSISTENCY_BAR
+    bar = fixtures._CONSISTENCY_BAR
 
     # The printed product degrees have two decimals, so integer hundredths
     # compare them exactly: an oracle for the count with no epsilon at all.

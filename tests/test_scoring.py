@@ -610,6 +610,15 @@ def test_evaluate_rejects_bad_inputs():
         evaluate({}, {})
     with pytest.raises(ValueError):
         evaluate({"a": HIGH_RISK}, {"b": PATIENT})
+    # an unknown label or prediction is an error, not a miss
+    with pytest.raises(ValueError, match="'foo'"):
+        evaluate({"a": HIGH_RISK}, {"a": "foo"})
+    with pytest.raises(ValueError, match="'maybe'"):
+        evaluate({"a": "maybe", "b": HEALTHY}, {"a": PATIENT, "b": HEALTHY_CONTROL})
+    with pytest.raises(ValueError, match=f"'{PATIENT}'"):  # a label in place of a call
+        evaluate({"a": PATIENT}, {"a": PATIENT})
+    with pytest.raises(ValueError, match=f"'{HEALTHY}'"):  # a call in place of a label
+        evaluate({"a": HEALTHY}, {"a": HEALTHY})
 
 
 def _score_by_hand(sets, combiner="max", mode="count", threshold=0.0):

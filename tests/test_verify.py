@@ -4,18 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzysoft import fixtures, verify_fixtures
+from fuzzysoft import FuzzySoftSet, fixtures, verify_fixtures
 from fuzzysoft.cli import main
 from fuzzysoft.fixtures import (
+    COHORT_IDS,
     PUBLISHED_SCORE_ROWS,
+    ErrataCell,
+    errata_cells,
+    errata_report,
     published_age_bmi_product,
     published_comparison_table,
     published_product_table,
     published_variable_table,
     published_variable_tables,
 )
-from fuzzysoft.softset import product
-from fuzzysoft.verify import errata_cells
+from fuzzysoft.softset import product, restrict
 
 
 def test_fixture_shapes():
@@ -42,6 +45,48 @@ def test_each_printed_table_is_built_alone(monkeypatch, computed_sets):
     assert errata_cells("AGE", computed_sets["AGE"]) is not None
     assert errata_cells("GLU", computed_sets["AGE"]) is None
     assert built == [tables["AGE"].parameters]  # the named table only, and none for an unknown name
+
+
+def test_errata_report_tolerance_is_strict_and_never_nan():
+    computed = FuzzySoftSet(("a", "b"), ("p",), np.array([[0.75], [0.25]]))
+    printed = FuzzySoftSet(("a", "b"), ("p",), np.array([[0.25], [0.25]]))
+    assert errata_report(computed, printed, 0.25) == [ErrataCell("a", "p", 0.25, 0.75, 0.5)]
+    assert errata_report(computed, printed, 0.5) == []  # a delta at the tolerance is within it
+    assert errata_report(computed, printed, float("inf")) == []
+    for bad in (-0.01, float("nan")):  # a NaN tolerance would hide every cell
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            errata_report(computed, printed, bad)
+
+
+def test_errata_cells_skip_a_set_of_other_parameters_or_objects(computed_sets):
+    age = computed_sets["AGE"]
+    assert errata_cells("AGE", restrict(age, age.parameters[:2])) is None
+    assert errata_cells("AGE", FuzzySoftSet(age.universe[::-1], age.parameters, age.degrees[::-1])) is None
+
+
+def test_ins_check_needs_exactly_its_two_misprints():
+    # the printed table against itself is within TOLERANCE everywhere, so only the
+    # missing misprints fail the check
+    check = fixtures._check_variable_table("INS", published_variable_table("INS"))
+    assert check.summary == "30/30 cells within 0.01"
+    assert not check.passed
+
+
+def test_age_bmi_check_fails_on_a_divergence_no_input_erratum_explains(monkeypatch, computed_sets):
+    assert fixtures._check_age_bmi_product(computed_sets).passed
+    explained = {c.object_id for var in ("AGE", "BMI") for c in errata_cells(var, computed_sets[var])}
+    row = next(i for i, oid in enumerate(COHORT_IDS) if oid not in explained)
+    printed = published_age_bmi_product()
+    degrees = printed.degrees.copy()
+    degrees[row, 0] = 1.0 if degrees[row, 0] < 0.5 else 0.0
+    monkeypatch.setattr(fixtures, "published_age_bmi_product",
+                        lambda: FuzzySoftSet(printed.universe, printed.parameters, degrees))
+    check = fixtures._check_age_bmi_product(computed_sets)
+    assert not check.passed
+    assert "all divergences traceable to input errata: False" in check.summary
+    untraceable = [d for d in check.details if d.endswith(" [NOT traceable to an input erratum]")]
+    assert len(untraceable) == 1
+    assert untraceable[0].startswith(f"({COHORT_IDS[row]}, {printed.parameters[0]}): ")
 
 
 def _two_decimal_sha256(s):
