@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -108,8 +109,9 @@ class PipelineConfig:
         ):
             if value not in tuple(allowed):  # a dict's membership test hashes the value
                 raise ConfigError(f"{what} must be one of {tuple(allowed)}, got {value!r}")
-        if not (self.threshold == self.threshold and abs(self.threshold) != float("inf")):
-            raise ConfigError(f"threshold must be finite, got {self.threshold}")
+        if not abs(self.threshold) <= sys.float_info.max:  # nan, inf, or an int that float() overflows
+            shown = self.threshold if isinstance(self.threshold, float) else "an int beyond the float range"
+            raise ConfigError(f"threshold must be finite, got {shown}")
         if self.round_digits < 0:
             raise ConfigError(f"round digits must be non-negative, got {self.round_digits}")
         if self.round_digits > _MAX_ROUND_DIGITS:

@@ -47,7 +47,10 @@ _PREDICTION_FOR_LABEL = {PATIENT: HIGH_RISK, HEALTHY_CONTROL: HEALTHY}
 
 @dataclass(frozen=True, eq=False)
 class ComparisonTable:
-    """Square pairwise-comparison matrix over an ordered universe."""
+    """Square pairwise-comparison matrix over an ordered universe.
+
+    A C-contiguous ``counts`` is kept, not copied, and made read-only, the caller's array too.
+    """
 
     universe: tuple[str, ...]
     counts: np.ndarray = field(repr=False)
@@ -106,13 +109,12 @@ def comparison_table(s: FuzzySoftSet, mode: str = "count") -> ComparisonTable:
     Count mode skips the comparisons a row wins outright: where a row is at its
     column's top level, within eps, it counts 1 against every row with no
     compare, and only the other cells are compared, in row tiles grouped by
-    which columns their rows top (see ``_count_table``). Tables of at least
-    ``_PARALLEL_TESTS`` pairwise tests (n * n * m, skipped or not) are filled
-    by one worker per usable CPU: the first on the calling thread, each other
-    on a pool thread (numpy releases the GIL in these loops). Both modes cut
-    their rows into tiles and give each worker a contiguous share of them of
-    about equal cost (see ``_cost_shares``). Smaller tables are filled on the
-    calling thread alone. Every cell is the same integer or float either way.
+    which columns their rows top (see ``_count_table``). Both modes cut their
+    rows into tiles and give each worker (see ``_worker_count``) a contiguous
+    share of them of about equal cost (see ``_cost_shares``). One worker runs
+    on the calling thread; two or more each run on a pool thread while the
+    calling thread waits (numpy releases the GIL in these loops). Every cell
+    is the same integer or float whatever the worker count.
     """
     if not s.universe or not s.parameters:
         raise ValueError("comparison_table needs a non-empty universe and parameters")
@@ -151,32 +153,21 @@ def _worker_count(tests: int) -> int:
 
 
 def _fill_row_blocks(fill: Callable[..., None], jobs: list[tuple]) -> None:
-    """Run ``fill(*job)`` for every job: the first on the calling thread, each other on a pool thread.
+    """Run ``fill(*job)`` for every job: one on the calling thread, more on a pool thread each.
 
-    One job runs on the calling thread with no pool. Otherwise a pool of
-    ``len(jobs) - 1`` threads takes ``jobs[1:]`` while the calling thread runs
-    ``jobs[0]`` instead of waiting idle. Every job finishes before anything
-    propagates: the caller's own exception first, else a worker's.
-
-    Each job's buffers are allocated by the caller, on the calling thread,
-    before any worker starts: buffers allocated inside worker threads come
-    from glibc's per-thread arenas, which keep freed memory and raise the
-    process's peak RSS.
+    Every job finishes before the first failing job's error propagates. The
+    caller allocates each job's buffers before any worker starts: glibc's
+    per-thread arenas keep what worker threads free, raising the peak RSS.
     """
     if len(jobs) == 1:
         fill(*jobs[0])
         return
     from concurrent.futures import ThreadPoolExecutor  # here, not at import: it costs ~3 ms
 
-    with ThreadPoolExecutor(len(jobs) - 1) as pool:
-        futures = [pool.submit(fill, *job) for job in jobs[1:]]
-        try:
-            fill(*jobs[0])
-        finally:
-            errors = [done.exception() for done in futures]  # waits for every worker
-        for error in errors:
-            if error is not None:
-                raise error
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        futures = [pool.submit(fill, *job) for job in jobs]
+    for future in futures:
+        future.result()
 
 
 def _count_table(levels: Levels) -> np.ndarray:
@@ -216,9 +207,9 @@ def _count_table(levels: Levels) -> np.ndarray:
     about equal cost, a tile that a cut falls in split between two shares
     (see ``_cost_shares``), so that even rows of one pattern are spread over
     every worker. The workers' buffers, sized to the largest tile, are
-    allocated here, on the calling thread (see ``_fill_row_blocks``). The
-    table's cells are codes of the levels 0..m (see
-    ``ComparisonTable.levels``), so it is held in their code dtype, int16
+    allocated here, on the calling thread, before the workers' pool starts
+    (see ``_fill_row_blocks``). The table's cells are codes of the levels
+    0..m (see ``ComparisonTable.levels``), so it is held in their code dtype, int16
     below 2**15 levels: 2 MB at n = 1000 and 200 MB at n = 10k, a quarter
     of int64. The buffers add less than 3 MB per worker, so memory is
     O(n^2 + n*m) whatever the worker count.

@@ -56,7 +56,11 @@ def _code_dtype(n_levels: int) -> type:
 
 @dataclass(frozen=True, eq=False)
 class FuzzySoftSet:
-    """An ordered universe of object IDs, parameter labels, and a degree matrix."""
+    """An ordered universe of object IDs, parameter labels, and a degree matrix.
+
+    A C-contiguous float64 ``degrees`` is kept, not copied, and made read-only,
+    the caller's array too; ``Cohort`` copies its columns.
+    """
 
     universe: tuple[str, ...]
     parameters: tuple[str, ...]

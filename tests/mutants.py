@@ -64,9 +64,12 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("reduction.py", "pairs[:, 1] &= ~below[:, 0]", "pairs[:, 1] &= ~below[:, 1]", REDUCTION),
     # the count table's uint8 accumulator is flushed before it can overflow
     ("scoring.py", "_FLUSH_COLUMNS = 255", "_FLUSH_COLUMNS = 256", SCORING),
-    # the calling thread runs the first row block and the pool only the others
-    ("scoring.py", "        try:\n            fill(*jobs[0])", "        try:\n            pass", SCORING),
-    ("scoring.py", "for job in jobs[1:]]", "for job in jobs]", SCORING),
+    # one row block runs on the calling thread; two or more get one pool thread each, and
+    # every result is read, in job order, so the first failing job's error propagates
+    ("scoring.py", "    if len(jobs) == 1:\n        fill(*jobs[0])", "    if False:\n        fill(*jobs[0])", SCORING),
+    ("scoring.py", "ThreadPoolExecutor(len(jobs)) as pool", "ThreadPoolExecutor(len(jobs) - 1) as pool", SCORING),
+    ("scoring.py", "        future.result()", "        pass", SCORING),
+    ("scoring.py", "    for future in futures:", "    for future in futures[::-1]:", SCORING),
     # a count tile skips only the columns that every one of its rows wins outright: a
     # saturated cell is at or above its column's largest q, the skipped columns are those
     # saturated on all of the tile's rows, and each adds exactly 1
@@ -100,6 +103,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("errors.py", "exit_code = 2", "exit_code = 1", CLI),
     ("pipeline.py", 'if self.combiner != "max":', "if False:", CLI),
     ("pipeline.py", "if isinstance(exc, OSError):", "if False:", PIPELINE),
+    # a threshold beyond the float range is refused, not formatted
+    ("pipeline.py", "abs(self.threshold) <= sys.float_info.max", 'abs(self.threshold) < float("inf")', PIPELINE),
     # auto scores the published table only in the mode it was scored with
     ("pipeline.py", ' and cfg.mode == "count"', "", CLI),
     # the study's 72-column product: LPN M and H folded, max-combined, AGE {M, O}

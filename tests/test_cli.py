@@ -14,7 +14,8 @@ from fuzzysoft import (
 )
 from fuzzysoft import cli
 from fuzzysoft.cli import build_parser, main
-from fuzzysoft.scoring import MODES
+from fuzzysoft.fixtures import published_product_table
+from fuzzysoft.scoring import MODES, comparison_table, scores
 from fuzzysoft.softset import COMBINERS
 
 MU = "μ_"
@@ -102,12 +103,34 @@ def test_published_product_requires_builtin_data(tmp_path, csv_116):
     assert run_cli("run", "--out", str(out), "--data", str(csv_116), "--product-source", "published") == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_threshold_that_is_not_finite_exits_1(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--threshold", value) == 1
+    assert f"threshold must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("combiner", [c for c in COMBINERS if c != "max"])
 def test_published_product_requires_the_max_combiner(tmp_path, capsys, combiner):
     out = tmp_path / "out"
     assert run_cli("run", "--out", str(out), "--product-source", "published", "--combiner", combiner) == 1
     assert "max-combined" in capsys.readouterr().err
     assert _empty_or_absent(out)
+
+
+def test_published_product_scores_in_difference_mode(tmp_path, capsys):
+    # published refuses other data, --spec and a combiner other than max, not --mode difference
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--product-source", "published", "--mode", "difference") == 0
+    assert "product source: published (72 parameters)" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["product_source_used"], manifest["config"]["mode"]) == ("published", "difference")
+    want = scores(comparison_table(published_product_table(), "difference"))
+    with open(out / "scores.csv", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")][1:]
+    assert [row[0] for row in rows] == list(want.universe)
+    assert [float(row[3]) for row in rows] == pytest.approx(want.scores.tolist(), abs=5e-7)
 
 
 def test_csv_data_source_runs_computed(tmp_path, csv_116, capsys):

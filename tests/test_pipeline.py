@@ -179,6 +179,16 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, command, kw
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", [10**400, -10**400, float("nan"), float("inf"), float("-inf")],
+                         ids=["10**400", "-10**400", "nan", "inf", "-inf"])
+def test_a_threshold_that_is_no_finite_float_is_a_config_error(tmp_path, threshold):
+    # 10**400 is a finite int, but the report formats the threshold as a float
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="threshold must be finite"):
+        run_pipeline(PipelineConfig(out_dir=str(out), threshold=threshold))
+    assert not out.exists()
+
+
 def _csv_rows(path):
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n") and text.splitlines()[-1].startswith("# config=")

@@ -93,6 +93,15 @@ def test_scores_of_unsigned_counts_can_be_negative():
     assert scores(table).scores.tolist() == [-2, 2]
 
 
+def test_a_contiguous_comparison_table_is_kept_and_made_read_only():
+    counts = np.array([[2, 0], [2, 2]], dtype=np.int16)
+    table = scoring.ComparisonTable(("a", "b"), counts, "count", parameter_count=2)
+    assert table.counts is counts and not counts.flags.writeable
+    other = np.asfortranarray([[0.0, -1.5], [1.5, 0.0]])
+    table = scoring.ComparisonTable(("a", "b"), other, "difference", parameter_count=2)
+    assert table.counts is not other and other.flags.writeable and not table.counts.flags.writeable
+
+
 def _dense_difference(d):
     return (d[:, None, :] - d[None, :, :]).sum(axis=2)
 
@@ -460,36 +469,37 @@ def test_row_blocks_run_on_threads_only_above_the_threshold(monkeypatch):
     monkeypatch.setattr(scoring, "_PARALLEL_TESTS", 64 * 64 * 4096 + 1)
     for mode in MODES:
         comparison_table(s, mode)
-    # the calling thread runs the first of the two blocks
-    assert pools == [1, 1]
+    # one pool thread for each of the two blocks
+    assert pools == [2, 2]
 
 
-def test_row_blocks_run_exactly_the_first_job_on_the_calling_thread():
+def test_row_blocks_run_every_job_on_a_pool_thread():
     ran = []
     scoring._fill_row_blocks(lambda k: ran.append((k, threading.get_ident())), [(k,) for k in range(4)])
     assert sorted(k for k, _ in ran) == [0, 1, 2, 3]
-    assert [k for k, thread in ran if thread == threading.get_ident()] == [0]
+    assert [k for k, thread in ran if thread == threading.get_ident()] == []
 
 
 class _JobError(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", [0, 2], ids=["on-the-caller", "on-a-worker"])
+@pytest.mark.parametrize("failing", [{0}, {2}, {1, 2}], ids=["the-first-job", "the-last-job", "two-jobs"])
 def test_a_failing_row_block_raises_its_own_error_after_every_job_finishes(failing):
     threads = threading.active_count()
     finished = []
 
     def fill(k):
-        if k == failing:
+        if k in failing:
+            time.sleep(0.02 * (3 - k))  # a later job fails first
             raise _JobError(k)
-        time.sleep(0.05)
+        time.sleep(0.1)
         finished.append(k)
 
     with pytest.raises(_JobError) as raised:
         scoring._fill_row_blocks(fill, [(k,) for k in range(3)])
-    assert raised.value.args == (failing,)
-    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+    assert raised.value.args == (min(failing),)
+    assert sorted(finished) == sorted({0, 1, 2} - failing)
     assert threading.active_count() == threads
 
 

@@ -246,6 +246,13 @@ def test_signed_zero_and_one_are_degrees():
 def test_degree_matrix_is_read_only(computed_sets):
     with pytest.raises(ValueError):
         computed_sets["AGE"].degrees[0, 0] = 0.5
+    # a C-contiguous float64 matrix is kept, not copied, so the caller's array turns read-only;
+    # any other is copied and the caller's stays writable
+    d = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert FuzzySoftSet(("a", "b"), ("p", "q"), d).degrees is d and not d.flags.writeable
+    for other in (np.asfortranarray([[0.1, 0.2], [0.3, 0.4]]), np.array([[0.5, 1.0], [0.0, 0.25]], np.float32)):
+        s = FuzzySoftSet(("a", "b"), ("p", "q"), other)
+        assert s.degrees is not other and other.flags.writeable and not s.degrees.flags.writeable
 
 
 def test_product_permutation_equivariance(computed_sets):
