@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -73,6 +74,10 @@ _MAX_ROUND_DIGITS = 17
 # Samples a curve may take: each costs a row in every curve file and its
 # floats in memory, so an unbounded count runs out of memory.
 _MAX_CURVE_SAMPLES = 10**6
+# Cells (rows x product columns) a computed product may hold: 1 GiB of
+# float64 degrees. product_n builds the labels and the matrix whole, so a
+# wider product would end in memory exhaustion, not in a ConfigError.
+_MAX_PRODUCT_CELLS = 2**27
 
 
 @dataclass(frozen=True)
@@ -258,6 +263,13 @@ def run_pipeline(cfg: PipelineConfig) -> RunResult:
     if source_used == "published":
         prod = fixtures.published_product_table()
     else:
+        width = math.prod(len(s.parameters) for s in reduced_sets)
+        cells = len(cohort.ids) * width
+        if cells > _MAX_PRODUCT_CELLS:
+            raise ConfigError(
+                f"product of the variables: {width} columns over {len(cohort.ids)} rows is {cells} cells, "
+                f"over the cap of {_MAX_PRODUCT_CELLS}; run with reduction per-variable or use fewer partitions"
+            )
         try:
             prod = product_n(reduced_sets, cfg.combiner)
         except ValueError as exc:  # two label pairs joined into one product label

@@ -103,6 +103,10 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     ("errors.py", "exit_code = 2", "exit_code = 1", CLI),
     ("pipeline.py", 'if self.combiner != "max":', "if False:", CLI),
     ("pipeline.py", "if isinstance(exc, OSError):", "if False:", PIPELINE),
+    # a computed product of more cells than the cap, rows times columns, is refused before it is built
+    ("pipeline.py", "if cells > _MAX_PRODUCT_CELLS:", "if False:", PIPELINE),
+    ("pipeline.py", "if cells > _MAX_PRODUCT_CELLS:", "if cells >= _MAX_PRODUCT_CELLS:", PIPELINE),
+    ("pipeline.py", "cells = len(cohort.ids) * width", "cells = width", PIPELINE),
     # a threshold beyond the float range is refused, not formatted
     ("pipeline.py", "abs(self.threshold) <= sys.float_info.max", 'abs(self.threshold) < float("inf")', PIPELINE),
     # auto scores the published table only in the mode it was scored with

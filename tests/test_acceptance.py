@@ -22,10 +22,8 @@ import pytest
 from fuzzysoft import (
     FuzzySoftSet,
     builtin_table1,
-    choice_values,
     classify,
     comparison_table,
-    default_variable_specs,
     errata_report,
     evaluate,
     find_reductions,
@@ -43,10 +41,10 @@ from fuzzysoft.fixtures import (
     published_age_bmi_product,
     published_comparison_table,
     published_product_table,
-    published_variable_tables,
 )
 from fuzzysoft.pipeline import PipelineConfig, run_pipeline
 from fuzzysoft.scoring import HIGH_RISK
+from reference import matmul_reduct_masks, soft_set
 
 MU = "μ_"
 TOL = 0.01
@@ -357,30 +355,6 @@ def test_criterion_10_randomized_property_suite():
     assert elapsed < 30, f"property suite took {elapsed:.1f}s"
 
 
-def _brute_force_minimal(degrees):
-    """Bitmask enumeration oracle for minimal optimum-preserving subsets."""
-    n, m = degrees.shape
-    eps = 1e-9
-    full = degrees.sum(axis=1)
-    target = frozenset(np.flatnonzero(full >= full.max() - eps).tolist())
-    masks = np.arange(1, 2**m, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(float)  # (2^m - 1, m)
-    sums = degrees @ bits.T  # n x (2^m - 1)
-    best = sums.max(axis=0)
-    preserving = []
-    for col, mask in enumerate(masks):
-        rows = frozenset(np.flatnonzero(sums[:, col] >= best[col] - eps).tolist())
-        if rows == target:
-            preserving.append(int(mask))
-    # order by size then by index tuple, matching the search's enumeration order
-    preserving.sort(key=lambda v: (bin(v).count("1"), tuple(j for j in range(m) if v >> j & 1)))
-    minimal = []
-    for mask in preserving:
-        if not any(prior & mask == prior for prior in minimal):
-            minimal.append(mask)
-    return minimal
-
-
 def test_criterion_11_reduction_oracle(computed):
     rng = np.random.default_rng(777)
     start = time.perf_counter()
@@ -390,11 +364,9 @@ def test_criterion_11_reduction_oracle(computed):
         degrees = rng.random((n, m))
         if rng.random() < 0.5:
             degrees = degrees.round(1)
-        s = FuzzySoftSet(
-            tuple(f"h{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees
-        )
+        s = soft_set(degrees)
         got = [sum(1 << s.parameters.index(p) for p in r.reduct) for r in find_reductions(s)]
-        want = _brute_force_minimal(degrees)
+        want = matmul_reduct_masks(degrees)
         assert got == want, f"trial {trial}: {got} != {want}"
     elapsed = time.perf_counter() - start
 

@@ -557,6 +557,21 @@ def test_colliding_product_labels_exit_1(tmp_path, capsys):
     assert _empty_or_absent(out)
 
 
+def test_a_product_over_the_cell_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # 30 variables of two partitions on Age: 2^30 product columns over the 10 built-in rows
+    monkeypatch.setattr(pipeline, "product_n", lambda *args: pytest.fail("product_n ran past the cell cap"))
+    halves = [{"label": "lo", "nodes": [[0, 1], [200, 0]]}, {"label": "hi", "nodes": [[0, 0], [200, 1]]}]
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps([{"name": f"V{v:02d}", "column": "Age", "partitions": halves} for v in range(30)]),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("run", "--out", str(out), "--spec", str(spec), "--reduction", "off") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: product of the variables: 1073741824 columns over 10 rows is 10737418240 cells")
+    assert "over the cap of 134217728; run with reduction per-variable" in err
+    assert _empty_or_absent(out)
+
+
 def test_curves_quote_codes_into_a_rectangular_csv(tmp_path):
     spec = _two_variable_spec(tmp_path / "quoted.json", ["lo,w", 'h"i', "#c"], ["m"])
     out = tmp_path / "curves"

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -15,14 +13,12 @@ from fuzzysoft import (
     load_csv,
     right_shoulder,
 )
-from fuzzysoft.ingest import _parse_measurement
+from reference import COLUMNS, reference_load
 
 MU = "μ_"
 
 TABLE1_POSITIONS = [3, 11, 19, 31, 45, 60, 71, 82, 91, 104]
 
-
-COLUMNS = ["Age", "BMI", "Insulin", "Leptin", "Adiponectin"]
 
 
 def test_builtin_cohort_shape_and_labels():
@@ -274,25 +270,6 @@ VALID_TOKENS = ["\x1c5", "5\x1f", "\u00a05", "\t 5 \t", " 5", "+5", ".5", "5.", 
 TOKENS = VALID_TOKENS + ["infinity", "nan", "0x10", "1_0", "٣", "", "   "]
 
 
-def _reference_load(path):
-    """A cell-by-cell reading of a default-layout file, built on ``_parse_measurement``."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
-    header = [h.strip() for h in rows[0]]
-    values = {col: [] for col in COLUMNS}
-    labels = []
-    for pos, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {pos} has {len(row)} cells, expected {len(header)}")
-        for col in COLUMNS:
-            values[col].append(_parse_measurement(row[header.index(col)], pos, col))
-        label = row[header.index("Classification")].strip()
-        if label not in ("1", "2"):
-            raise DataError(f"{path}: row {pos}: unknown label value {label!r} (expected one of ['1', '2'])")
-        labels.append(HEALTHY_CONTROL if label == "1" else PATIENT)
-    return {col: np.array(xs, dtype=float) for col, xs in values.items()}, tuple(labels)
-
-
 def _outcome(read, path):
     try:
         return read(path)
@@ -301,8 +278,8 @@ def _outcome(read, path):
 
 
 def _assert_reads_alike(path):
-    """``load_csv`` reads ``path`` as ``_reference_load`` does; returns the reference's outcome."""
-    got, want = _outcome(load_csv, path), _outcome(_reference_load, path)
+    """``load_csv`` reads ``path`` as ``reference_load`` does; returns the reference's outcome."""
+    got, want = _outcome(load_csv, path), _outcome(reference_load, path)
     if isinstance(want, str):
         assert got == want
     else:

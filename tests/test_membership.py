@@ -5,6 +5,7 @@ import pytest
 
 from fuzzysoft import make_piecewise, left_shoulder, right_shoulder, triangle
 from fuzzysoft.membership import evaluate_columns
+from reference import interp_clip
 
 
 def test_old_age_saturates_above_last_node():
@@ -116,11 +117,6 @@ def test_single_node_function():
     assert math.isclose(mf.evaluate(5.0), 0.7)
 
 
-def _interp_clip(mf, xs):
-    """One function's degrees as ``np.interp`` over its nodes, clipped to [0, 1]."""
-    return np.clip(np.interp(xs, *zip(*mf.nodes), left=mf.left_tail, right=mf.right_tail), 0.0, 1.0)
-
-
 def test_evaluate_columns_is_evaluate_many_column_by_column():
     tiny = 5e-324  # the smallest subnormal
     functions = [
@@ -146,7 +142,7 @@ def test_evaluate_columns_is_evaluate_many_column_by_column():
     got = evaluate_columns(functions, xs)
     assert got.shape == (len(xs), len(functions)) and got.flags.c_contiguous
     for j, mf in enumerate(functions):
-        want = _interp_clip(mf, xs).tobytes()
+        want = interp_clip(mf, xs).tobytes()
         assert got[:, j].tobytes() == mf.evaluate_many(xs).tobytes() == want, j  # sign of zero included
     assert evaluate_columns(functions, []).shape == (0, len(functions))
     for bad in (np.nan, np.inf, -np.inf):

@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -261,3 +262,42 @@ def test_runs_in_one_process_write_what_fresh_processes_write(tmp_path, csv_116)
         subprocess.run(command, env=env, check=True, timeout=120)
         fresh = {p.name: p.read_bytes() for p in (tmp_path / f"fresh{k}").iterdir()}
         assert {p.name: p.read_bytes() for p in (tmp_path / f"in{k}").iterdir()} == fresh
+
+
+def _forbid_product(monkeypatch):
+    """Fail the test if the run reaches ``product_n``: an over-cap product would exhaust memory."""
+    monkeypatch.setattr(pipeline, "product_n", lambda *args: pytest.fail("product_n ran past the cell cap"))
+
+
+def _wide_spec(path, variables, partitions):
+    """``variables`` variables on Age, each of ``partitions`` triangles that cover every age."""
+    parts = [{"label": f"p{k}", "nodes": [[0, 0], [k + 40, 1], [200, 0]]} for k in range(partitions)]
+    path.write_text(json.dumps([{"name": f"V{v:02d}", "column": "Age", "partitions": parts}
+                                for v in range(variables)]), encoding="utf-8")
+    return str(path)
+
+
+# 30 variables of 2 partitions: 2^30 columns; 5 of 60: 60^5 = 7.8e8 columns
+@pytest.mark.parametrize("variables, partitions, width", [(30, 2, 2**30), (5, 60, 60**5)])
+def test_a_product_over_the_cell_cap_is_refused_before_it_is_built(tmp_path, monkeypatch, variables, partitions, width):
+    _forbid_product(monkeypatch)
+    out = tmp_path / "out"
+    cfg = PipelineConfig(spec_path=_wide_spec(tmp_path / "wide.json", variables, partitions), reduction="off",
+                         out_dir=str(out))
+    message = f"{width} columns over 10 rows is {10 * width} cells, over the cap of {2**27}; run with reduction"
+    with pytest.raises(ConfigError, match=message):
+        run_pipeline(cfg)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_the_cell_cap_admits_a_product_of_exactly_its_size(tmp_path, monkeypatch):
+    # the built-in cohort's computed product with reduction off: 10 rows x 432 columns
+    cfg = PipelineConfig(reduction="off", product_source="computed", out_dir=str(tmp_path / "at"))
+    monkeypatch.setattr(pipeline, "_MAX_PRODUCT_CELLS", 10 * 432)
+    assert run_pipeline(cfg).report.parameter_count == 432
+    monkeypatch.setattr(pipeline, "_MAX_PRODUCT_CELLS", 10 * 432 - 1)
+    _forbid_product(monkeypatch)
+    out = tmp_path / "over"
+    with pytest.raises(ConfigError, match="432 columns over 10 rows is 4320 cells, over the cap of 4319"):
+        run_pipeline(replace(cfg, out_dir=str(out)))
+    assert not any(out.iterdir())

@@ -1,6 +1,4 @@
 """Property-based tests for the algebraic invariants."""
-import itertools
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,7 +19,8 @@ from fuzzysoft import (
     restrict,
     scores,
 )
-from fuzzysoft.softset import COMBINERS, PRODUCT_SEPARATOR
+from fuzzysoft.softset import COMBINERS
+from reference import per_cell_product, soft_set
 
 degrees_strategy = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -43,11 +42,7 @@ def soft_sets(draw, max_objects=6, max_parameters=6):
     n = draw(st.integers(min_value=1, max_value=max_objects))
     m = draw(st.integers(min_value=1, max_value=max_parameters))
     cells = draw(st.lists(degrees_strategy, min_size=n * m, max_size=n * m))
-    return FuzzySoftSet(
-        tuple(f"h{i}" for i in range(n)),
-        tuple(f"e{j}" for j in range(m)),
-        np.array(cells).reshape(n, m),
-    )
+    return soft_set(np.array(cells).reshape(n, m))
 
 
 @given(membership_functions(), st.floats(min_value=-150, max_value=150, allow_nan=False))
@@ -73,14 +68,11 @@ def test_sample_agrees_with_evaluate(mf, n):
 def soft_set_pairs(draw, max_objects=5, max_parameters=5):
     """Two sets over the same universe, for product laws."""
     n = draw(st.integers(min_value=1, max_value=max_objects))
-    universe = tuple(f"h{i}" for i in range(n))
     sets = []
     for tag in "ab":
         m = draw(st.integers(min_value=1, max_value=max_parameters))
         cells = draw(st.lists(degrees_strategy, min_size=n * m, max_size=n * m))
-        sets.append(
-            FuzzySoftSet(universe, tuple(f"{tag}{j}" for j in range(m)), np.array(cells).reshape(n, m))
-        )
+        sets.append(soft_set(np.array(cells).reshape(n, m), tag))
     return sets[0], sets[1]
 
 
@@ -104,12 +96,11 @@ _PRODUCT_DEGREES = (0.0, -0.0, 5e-324, 0.25, 0.5, 1.0 - 2**-53, 1.0)
 def product_operands(draw):
     """1-4 sets of 1-4 parameters each over one universe of 1-6 objects."""
     n = draw(st.integers(min_value=1, max_value=6))
-    universe = tuple(f"h{i}" for i in range(n))
     sets = []
     for k in range(draw(st.integers(min_value=1, max_value=4))):
         m = draw(st.integers(min_value=1, max_value=4))
         cells = draw(st.lists(st.sampled_from(_PRODUCT_DEGREES), min_size=n * m, max_size=n * m))
-        sets.append(FuzzySoftSet(universe, tuple(f"s{k}p{j}" for j in range(m)), np.array(cells).reshape(n, m)))
+        sets.append(soft_set(np.array(cells).reshape(n, m), f"s{k}p"))
     return sets
 
 
@@ -117,16 +108,9 @@ def product_operands(draw):
 @given(product_operands(), st.sampled_from(sorted(COMBINERS)))
 def test_product_n_equals_a_per_cell_reference(sets, combiner):
     prod = product_n(sets, combiner)
-    combine = COMBINERS[combiner]
-    columns = list(itertools.product(*(range(len(s.parameters)) for s in sets)))
-    reference = np.array([
-        [reduce(combine, [s.degrees[i, j] for s, j in zip(sets, column)]) for column in columns]
-        for i in range(len(prod.universe))
-    ])
+    reference, labels = per_cell_product(sets, combiner)
     assert prod.degrees.tobytes() == reference.tobytes()
-    assert prod.parameters == tuple(
-        PRODUCT_SEPARATOR.join(s.parameters[j] for s, j in zip(sets, column)) for column in columns
-    )
+    assert prod.parameters == labels
     # the levels are an order-preserving code of the degrees
     values, codes = prod.levels
     assert np.all(np.diff(values) > 0) and not np.signbit(values).any()

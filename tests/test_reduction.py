@@ -1,6 +1,5 @@
 import gc
 import importlib.util
-import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,7 +9,6 @@ import pytest
 
 from fuzzysoft import (
     FuzzySoftSet,
-    ReductionResult,
     choice_values,
     find_reductions,
     fuzzify_cohort,
@@ -21,24 +19,11 @@ from fuzzysoft import (
     specs_from_json,
 )
 from fuzzysoft.reduction import _BLOCK_CELLS, TIE_EPSILON, _minimal_masks, _subset_sums
+from reference import brute_force_reductions, dispensable, minimal_flagged, per_subset_reductions, soft_set, subset_sum
 
 MU = "μ_"
 
 OPTIMAL_COHORT = frozenset({f"{MU}3", f"{MU}31", f"{MU}45", f"{MU}82", f"{MU}91"})
-
-
-def brute_force_reductions(s):
-    """Independent oracle: enumerate every non-empty subset, keep the minimal ones."""
-    target = optimal_objects(s)
-    preserving = []
-    for size in range(1, len(s.parameters) + 1):
-        for combo in itertools.combinations(s.parameters, size):
-            if optimal_objects(restrict(s, combo)) == target:
-                preserving.append(frozenset(combo))
-    return sorted(
-        (b for b in preserving if not any(other < b for other in preserving)),
-        key=lambda b: (len(b), tuple(sorted(s.parameters.index(p) for p in b))),
-    )
 
 
 def test_choice_values_on_published_age_table(published_sets):
@@ -77,11 +62,6 @@ def test_optimal_objects_rejects_empty_universe():
     s = FuzzySoftSet((), ("p",), np.zeros((0, 1)))
     with pytest.raises(ValueError):
         optimal_objects(s)
-
-
-def dispensable(s, drop):
-    """Removing ``drop`` leaves the optimal-object set unchanged."""
-    return optimal_objects(restrict(s, [p for p in s.parameters if p not in drop])) == optimal_objects(s)
 
 
 def test_constant_column_is_dispensable(computed_sets):
@@ -225,46 +205,9 @@ def test_agreement_with_brute_force_on_random_instances():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         degrees = rng.random((n, m)).round(1)  # rounding provokes ties
-        s = FuzzySoftSet(
-            tuple(f"h{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees
-        )
+        s = soft_set(degrees)
         got = [frozenset(r.reduct) for r in find_reductions(s)]
         assert got == brute_force_reductions(s)
-
-
-def per_subset_reductions(s):
-    """Reference search: one numpy sum per subset, by ascending size, pruning supersets."""
-    m = len(s.parameters)
-    target = optimal_objects(s)
-    universe_index = {oid: i for i, oid in enumerate(s.universe)}
-    target_rows = sorted(universe_index[oid] for oid in target)
-    degrees = s.degrees
-    found_index_sets: list[frozenset[int]] = []
-    results: list[ReductionResult] = []
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
-            combo_set = frozenset(combo)
-            if any(prior <= combo_set for prior in found_index_sets):
-                continue
-            f = degrees[:, combo].sum(axis=1)
-            best = f.max()
-            rows = np.flatnonzero(f >= best - TIE_EPSILON)
-            if rows.tolist() == target_rows:
-                found_index_sets.append(combo_set)
-                kept = tuple(s.parameters[j] for j in combo)
-                results.append(
-                    ReductionResult(
-                        reduct=kept,
-                        optimal_objects=target,
-                        dispensable=tuple(p for p in s.parameters if p not in kept),
-                    )
-                )
-    return results
-
-
-def _soft_set(degrees):
-    n, m = degrees.shape
-    return FuzzySoftSet(tuple(f"h{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees)
 
 
 def _tied_degrees(rng, n, m):
@@ -286,7 +229,7 @@ def test_search_equals_per_subset_reference_on_tied_inputs():
     shapes = [(1, m) for m in range(1, 10)] + [(700, 10), (700, 9)]
     shapes += [(int(rng.integers(2, 40)), int(rng.integers(1, 11))) for _ in range(150)]
     for n, m in shapes:
-        s = _soft_set(_tied_degrees(rng, n, m))
+        s = soft_set(_tied_degrees(rng, n, m))
         assert find_reductions(s) == per_subset_reductions(s), (n, m)
 
 
@@ -337,7 +280,7 @@ def test_search_equals_per_subset_reference_on_fuzzy_partition_rows():
     seen = {"targets of 2+ supports": 0, "strict sub-support": 0, "-0.0 cells": 0, "empty rows": 0, "1-row supports": 0}
     for n, m in shapes:
         degrees = _partition_degrees(rng, n, m)
-        s = _soft_set(degrees)
+        s = soft_set(degrees)
         assert find_reductions(s) == per_subset_reductions(s), (n, m)
         supports = [frozenset(np.flatnonzero(row).tolist()) for row in degrees]
         target = [i for i, oid in enumerate(s.universe) if oid in optimal_objects(s)]
@@ -363,7 +306,7 @@ def test_search_splits_eps_ties_across_row_supports():
                 [0.0, 0.0, 0.0, 0.75, t3 - 0.75],
             ]
         )
-        s = _soft_set(degrees)
+        s = soft_set(degrees)
         assert choice_values(s).tolist() == [1.25, 1.25, t2, t3]
         assert optimal_objects(s) == ({"h0", "h1", "h2", "h3"} if t3 == threshold else {"h0", "h1", "h2"})
         assert find_reductions(s) == per_subset_reductions(s), (t2, t3)
@@ -371,12 +314,12 @@ def test_search_splits_eps_ties_across_row_supports():
 
 def test_tie_epsilon_is_one_billionth():
     # a gap of 5e-9 is a tie at 1e-8 but not at 1e-9
-    s = _soft_set(np.array([[0.5, 0.2], [0.5 - 5e-9, 0.2]]))
+    s = soft_set(np.array([[0.5, 0.2], [0.5 - 5e-9, 0.2]]))
     assert optimal_objects(s) == frozenset({"h0"})
     assert [r.reduct for r in find_reductions(s)] == [("e0",)]
     # the same gap between row pairs on two supports
     pair = np.array([[0.5, 0.2, 0.0, 0.0], [0.0, 0.0, 0.2, 0.5 - 5e-9]])
-    s = _soft_set(pair.repeat(2, axis=0))
+    s = soft_set(pair.repeat(2, axis=0))
     assert optimal_objects(s) == frozenset({"h0", "h1"})
     assert [r.reduct for r in find_reductions(s)] == [("e0",), ("e1",)]
 
@@ -392,8 +335,7 @@ def _assert_bitwise_per_subset_sums(degrees, block_cells):
     for first, sums in _subset_sums(degrees, block_cells):
         assert sums.shape[0] == n
         for k in range(sums.shape[1]):
-            combo = [j for j in range(m) if (first + k) >> j & 1]
-            want = degrees[:, combo].sum(axis=1) if combo else np.zeros(n)
+            want = subset_sum(degrees, first + k)
             assert sums[:, k].tobytes() == want.tobytes(), (first + k, block_cells)
         yielded[first : first + sums.shape[1]] += 1
     assert (yielded == 1).all(), block_cells  # every mask exactly once
@@ -435,7 +377,7 @@ def test_full_set_preserves_its_own_optimal_objects_near_the_tie_guard():
         degrees[0] = 0.5 + rng.random(m) * 0.5
         degrees[1] = degrees[0]
         degrees[1, int(rng.integers(m))] -= TIE_EPSILON + rng.integers(-4, 5) * 2.0**-53
-        s = _soft_set(degrees)
+        s = soft_set(degrees)
         f = np.zeros(n)
         for j in range(m):
             f += degrees[:, j]
@@ -458,17 +400,17 @@ def _assert_search_memory_in_blocks(s):
 
 def test_search_memory_stays_in_blocks():
     rng = np.random.default_rng(3)
-    _assert_search_memory_in_blocks(_soft_set(rng.random((1000, 16)).round(2)))
+    _assert_search_memory_in_blocks(soft_set(rng.random((1000, 16)).round(2)))
 
 
 def test_search_memory_stays_in_blocks_on_fuzzy_partition_rows():
     # its six optimal rows touch 15 of the 16 parameters, so the 994 others are walked over 2^15 masks
-    _assert_search_memory_in_blocks(_soft_set(_partition_degrees(np.random.default_rng(3), 1000, 16)))
+    _assert_search_memory_in_blocks(soft_set(_partition_degrees(np.random.default_rng(3), 1000, 16)))
 
 
 def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
     # m = 17 at n = 116 walks high masks 9 deep, one block per depth
-    s = _soft_set(np.random.default_rng(4).random((116, 17)).round(2))
+    s = soft_set(np.random.default_rng(4).random((116, 17)).round(2))
     find_reductions(s)
     gc.collect()
     gc.disable()
@@ -489,15 +431,6 @@ def test_repeated_searches_free_their_blocks_without_the_cycle_collector():
     assert unreachable == 0
 
 
-def _brute_minimal(flags):
-    """Flagged masks with no flagged strict subset: each flagged mask rules out its strict supersets."""
-    masks = np.arange(flags.size)
-    ruled_out = np.zeros(flags.size, dtype=bool)
-    for p in np.flatnonzero(flags).tolist():
-        ruled_out |= (masks & p == p) & (masks != p)
-    return np.flatnonzero(flags & ~ruled_out)
-
-
 def test_minimality_equals_a_brute_force_for_every_width_up_to_12():
     # along bit b the flags pair runs of 2^b masks, from neighbours at b = 0 to halves at b = m - 1
     rng = np.random.default_rng(1812)
@@ -508,7 +441,7 @@ def test_minimality_equals_a_brute_force_for_every_width_up_to_12():
         cases += [rng.random(size) < density for density in (0.01, 0.1, 0.5, 0.9)]
         for flags in cases:
             got = _minimal_masks(flags)
-            assert got.tolist() == _brute_minimal(flags).tolist(), (m, int(flags.sum()))
+            assert got.tolist() == minimal_flagged(flags).tolist(), (m, int(flags.sum()))
     assert _minimal_masks(np.ones(8, dtype=bool)).tolist() == [0]
     assert _minimal_masks(np.arange(8) > 0).tolist() == [1, 2, 4]
     assert _minimal_masks(np.arange(1 << 7) == 127).tolist() == [127]
@@ -549,7 +482,7 @@ def test_optimal_rows_on_two_windows_over_several_blocks_equal_the_per_subset_re
     rng = np.random.default_rng(1818)
     for _ in range(20):
         degrees = _two_window_degrees(rng)
-        s = _soft_set(degrees)
+        s = soft_set(degrees)
         assert len(optimal_objects(s)) == 16
         # the search sees parameters 0-3 and 6-9 only, and the other rows' sums fill several blocks
         assert len(degrees) << 8 > _BLOCK_CELLS
@@ -590,14 +523,14 @@ def test_fine_spec_variables_are_searched_over_their_optimal_rows_support(monkey
 
 def test_every_object_optimal_makes_each_all_zero_column_a_reduct():
     # both rows sum to 0.75, on supports {0, 1} and {3}; columns 2 and 4 are zero, some cells -0.0
-    s = _soft_set(np.array([[0.5, 0.25, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, 0.75, 0.0]]))
+    s = soft_set(np.array([[0.5, 0.25, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, 0.75, 0.0]]))
     assert optimal_objects(s) == {"h0", "h1"}
     got = find_reductions(s)
     assert got == per_subset_reductions(s)
     assert [frozenset(r.reduct) for r in got] == brute_force_reductions(s)
     assert [r.reduct for r in got] == [("e2",), ("e4",), ("e0", "e1", "e3")]
     # no row is non-zero anywhere: nothing is searched, and each column alone is a reduct
-    s = _soft_set(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]]))
+    s = soft_set(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0]]))
     assert [r.reduct for r in find_reductions(s)] == [("e0",), ("e1",), ("e2",)] == [
         tuple(sorted(b)) for b in brute_force_reductions(s)]
 
@@ -607,7 +540,7 @@ def test_rows_outside_the_optimal_support_are_bounded_by_their_part_inside_it():
     # not touch: over e0 and e1 alone h1 falls further behind
     for gap in (np.nextafter(TIE_EPSILON, 1.0), TIE_EPSILON, np.nextafter(TIE_EPSILON, 0.0)):
         degrees = np.array([[0.5, 0.5, -0.0], [0.5, 0.25, 0.25 - gap], [0.0, 0.0, 0.0]])
-        s = _soft_set(degrees)
+        s = soft_set(degrees)
         assert find_reductions(s) == per_subset_reductions(s), gap
         assert [frozenset(r.reduct) for r in find_reductions(s)] == brute_force_reductions(s), gap
 
@@ -655,7 +588,7 @@ def test_search_over_the_optimal_support_equals_the_per_subset_reference():
     for _ in range(300):
         n, m = int(rng.integers(1, 30)), int(rng.integers(1, 10))
         degrees = _narrow_optimal_degrees(rng, n, m)
-        s = _soft_set(degrees)
+        s = soft_set(degrees)
         got = find_reductions(s)
         assert got == per_subset_reductions(s), (n, m)
         if m <= 6:

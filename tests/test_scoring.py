@@ -34,6 +34,7 @@ from fuzzysoft.fixtures import (
     published_comparison_table,
     published_product_table,
 )
+from reference import dense_count, dense_difference, dense_saturation, soft_set
 
 MU = "μ_"
 
@@ -63,21 +64,11 @@ def test_published_product_diagonal_is_72():
     assert np.all(np.diag(table.counts) == 72)
 
 
-def _soft_set(degrees):
-    n, m = degrees.shape
-    return FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees)
-
-
-def _dense_count(d):
-    """The whole n x n x m tensor comparison the rank-encoded count path replaces."""
-    return (d[:, None, :] >= d[None, :, :] - COMPARISON_EPSILON).sum(axis=2)
-
-
 @pytest.mark.parametrize("m, dtype", [(32766, np.int16), (32767, np.int32)])
 def test_count_table_is_held_in_its_level_code_dtype(m, dtype):
     degrees = np.random.default_rng(m).random((2, m))
-    table = comparison_table(_soft_set(degrees), "count")
-    want = _dense_count(degrees)
+    table = comparison_table(soft_set(degrees), "count")
+    want = dense_count(degrees)
     assert table.counts.dtype == dtype
     assert np.array_equal(table.counts, want)
     report = scores(table)
@@ -102,10 +93,6 @@ def test_a_contiguous_comparison_table_is_kept_and_made_read_only():
     assert table.counts is not other and other.flags.writeable and not table.counts.flags.writeable
 
 
-def _dense_difference(d):
-    return (d[:, None, :] - d[None, :, :]).sum(axis=2)
-
-
 def _near_epsilon_column(rng, n):
     """Degrees exactly eps apart, and eps plus or minus one ulp apart, in every order."""
     base = np.round(rng.uniform(0.1, 0.9, size=max(1, n // 6)), 3)
@@ -122,7 +109,7 @@ def test_count_table_equals_dense_tensor_with_forced_ties(seed):
     rng = np.random.default_rng(seed)
     n, m = int(rng.integers(2, 80)), int(rng.integers(1, 60))
     degrees = np.round(rng.random((n, m)), int(rng.integers(1, 3)))  # 1-2 decimals: many ties
-    assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, _dense_count(degrees))
+    assert np.array_equal(comparison_table(soft_set(degrees), "count").counts, dense_count(degrees))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -131,27 +118,27 @@ def test_count_table_equals_dense_tensor_at_epsilon_boundaries(seed):
     n = 60
     degrees = np.column_stack([_near_epsilon_column(rng, n) for _ in range(8)])
     assert len(np.unique(degrees)) > n  # the boundary values really are distinct floats
-    assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, _dense_count(degrees))
+    assert np.array_equal(comparison_table(soft_set(degrees), "count").counts, dense_count(degrees))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (9, 1)])
 def test_count_table_equals_dense_tensor_at_minimal_shapes(shape):
     degrees = np.round(np.random.default_rng(7).random(shape), 1)
-    assert np.array_equal(comparison_table(_soft_set(degrees), "count").counts, _dense_count(degrees))
+    assert np.array_equal(comparison_table(soft_set(degrees), "count").counts, dense_count(degrees))
 
 
 def test_count_table_equals_dense_tensor_on_published_product():
     s = published_product_table()
-    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+    assert np.array_equal(comparison_table(s, "count").counts, dense_count(s.degrees))
 
 
 def test_count_table_flushes_its_accumulator_without_overflow():
     # over 255 columns, and a pair that ties on every one: cells above uint8's range
     degrees = np.round(np.random.default_rng(11).random((30, 600)), 1)
     degrees[1] = degrees[0]
-    counts = comparison_table(_soft_set(degrees), "count").counts
+    counts = comparison_table(soft_set(degrees), "count").counts
     assert counts[0, 1] == counts[1, 0] == 600
-    assert np.array_equal(counts, _dense_count(degrees))
+    assert np.array_equal(counts, dense_count(degrees))
 
 
 def _level_edge_degrees(rng, n, m):
@@ -173,10 +160,10 @@ def _check_levels(s):
 @pytest.mark.parametrize("seed", range(4))
 def test_count_table_from_sorted_levels_equals_dense_tensor_at_level_edges(seed):
     rng = np.random.default_rng(200 + seed)
-    s = _soft_set(_level_edge_degrees(rng, 40, 9))
+    s = soft_set(_level_edge_degrees(rng, 40, 9))
     assert np.signbit(s.degrees).any() and (s.degrees == 5e-324).any()
     _check_levels(s)
-    assert np.array_equal(comparison_table(s, "count").counts, _dense_count(s.degrees))
+    assert np.array_equal(comparison_table(s, "count").counts, dense_count(s.degrees))
 
 
 @pytest.mark.parametrize("combiner", ["max", "min"])
@@ -185,21 +172,21 @@ def test_count_table_from_product_levels_equals_dense_tensor_at_level_edges(comb
     rng = np.random.default_rng(300 + seed)
     n = 40
     sets = [
-        FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"v{k}e{j}" for j in range(m)), _level_edge_degrees(rng, n, m))
+        soft_set(_level_edge_degrees(rng, n, m), f"v{k}e")
         for k, m in enumerate((3, 2, 4))
     ]
     prod = product_n(sets, combiner)
     assert "levels" in vars(prod)  # filled by product, not sorted on first use
     _check_levels(prod)
-    assert np.array_equal(comparison_table(prod, "count").counts, _dense_count(prod.degrees))
+    assert np.array_equal(comparison_table(prod, "count").counts, dense_count(prod.degrees))
     # the same degrees with levels from a sort give the same table
-    assert np.array_equal(comparison_table(_soft_set(prod.degrees), "count").counts, _dense_count(prod.degrees))
+    assert np.array_equal(comparison_table(soft_set(prod.degrees), "count").counts, dense_count(prod.degrees))
 
 
 def test_product_levels_hold_int16_codes_and_widen_past_them():
-    few = _soft_set(np.round(np.random.default_rng(8).random((50, 4)), 2))
+    few = soft_set(np.round(np.random.default_rng(8).random((50, 4)), 2))
     assert few.levels.codes.dtype == np.int16
-    many = _soft_set(np.arange(2**15).reshape(-1, 2) / 2**15)
+    many = soft_set(np.arange(2**15).reshape(-1, 2) / 2**15)
     assert many.levels.codes.dtype == np.int32
     wide = product(FuzzySoftSet(many.universe, ("a",), many.degrees[:, :1]),
                    FuzzySoftSet(many.universe, ("b",), many.degrees[:, 1:]), "max")
@@ -212,14 +199,14 @@ def test_product_levels_hold_int16_codes_and_widen_past_them():
 def test_blocked_difference_table_is_bit_identical_to_dense(monkeypatch, block_cells, shape):
     monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
     degrees = np.random.default_rng(shape[0]).random(shape)
-    table = comparison_table(_soft_set(degrees), "difference")
-    assert np.array_equal(table.counts.view(np.int64), _dense_difference(degrees).view(np.int64))
+    table = comparison_table(soft_set(degrees), "difference")
+    assert np.array_equal(table.counts.view(np.int64), dense_difference(degrees).view(np.int64))
 
 
 def test_count_table_memory_is_bounded():
     # the dense n x n x m boolean tensor alone would be about 432 MB here
     degrees = np.random.default_rng(5).random((1000, 432))
-    s = _soft_set(degrees)
+    s = soft_set(degrees)
     tracemalloc.start()
     try:
         comparison_table(s, "count")
@@ -246,7 +233,7 @@ def _partition_set(rng, name, n, k):
     """A variable's fuzzy partition of k triangles at integer centres: rows at half steps, so many 1.0 cells."""
     x = rng.integers(0, 2 * (k - 1) + 1, size=n)[:, None] / 2
     degrees = np.maximum(0.0, 1.0 - np.abs(x - np.arange(k)))
-    return FuzzySoftSet(tuple(f"o{i}" for i in range(n)), tuple(f"{name}{j}" for j in range(k)), degrees)
+    return soft_set(degrees, name)
 
 
 def _patterned_degrees(rng, runs, m, share=0.5):
@@ -264,7 +251,7 @@ def _parallel_cases():
     flush = np.round(rng.random((30, 600)), 1)
     flush[1] = flush[0]  # ties on all 600 columns: a cell above uint8's range
     edge_sets = [
-        FuzzySoftSet(tuple(f"o{i}" for i in range(40)), tuple(f"v{k}e{j}" for j in range(m)), _level_edge_degrees(rng, 40, m))
+        soft_set(_level_edge_degrees(rng, 40, m), f"v{k}e")
         for k, m in enumerate((3, 2, 4))
     ]
     # a column's top level 1.0 tied within eps by 1 - 5e-10: rows at either saturate it
@@ -279,22 +266,22 @@ def _parallel_cases():
     lone = np.round(rng.uniform(0.0, 0.9, (40, 30)), 1)
     lone[np.arange(30), np.arange(30)] = 1.0
     return {
-        "ties": _soft_set(np.round(rng.random((53, 41)), 1)),
-        "epsilon-ulps": _soft_set(np.column_stack([_near_epsilon_column(rng, 60) for _ in range(8)])),
+        "ties": soft_set(np.round(rng.random((53, 41)), 1)),
+        "epsilon-ulps": soft_set(np.column_stack([_near_epsilon_column(rng, 60) for _ in range(8)])),
         "product-level-edges": product_n(edge_sets, "max"),
-        "flush-600": _soft_set(flush),
-        "n=1": _soft_set(np.round(rng.random((1, 5)), 1)),
-        "n=2": _soft_set(np.round(rng.random((2, 9)), 1)),
-        "n=37": _soft_set(np.round(rng.random((37, 13)), 1)),  # uneven over 2, 3 and 7 blocks
+        "flush-600": soft_set(flush),
+        "n=1": soft_set(np.round(rng.random((1, 5)), 1)),
+        "n=2": soft_set(np.round(rng.random((2, 9)), 1)),
+        "n=37": soft_set(np.round(rng.random((37, 13)), 1)),  # uneven over 2, 3 and 7 blocks
         "partition-max-product": product_n([_partition_set(rng, v, 120, k) for v, k in zip("abc", (3, 4, 3))], "max"),
-        "top-tied-within-eps": _soft_set(tied),
-        "all-saturated": _soft_set(flat),
-        "one-saturated-row-per-column": _soft_set(lone),
+        "top-tied-within-eps": soft_set(tied),
+        "all-saturated": soft_set(flat),
+        "one-saturated-row-per-column": soft_set(lone),
         # short runs of patterns merge up to the tile floor, around one run past it
-        "patterns-merged-across-the-floor": _soft_set(_patterned_degrees(rng, [3, 1, 5, 2, 4, 30, 2, 1, 6, 3, 5], 20)),
+        "patterns-merged-across-the-floor": soft_set(_patterned_degrees(rng, [3, 1, 5, 2, 4, 30, 2, 1, 6, 3, 5], 20)),
         # one pattern, with few saturated cells, holds nearly every row: one tile of 290 rows
         # (the last row tops every column, so that no other row saturates one by chance)
-        "one-dominant-pattern": _soft_set(np.vstack([_patterned_degrees(rng, [290, 4, 3, 2], 24, share=0.1), np.ones(24)])),
+        "one-dominant-pattern": soft_set(np.vstack([_patterned_degrees(rng, [290, 4, 3, 2], 24, share=0.1), np.ones(24)])),
     }
 
 
@@ -307,7 +294,7 @@ def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, ca
     s = PARALLEL_CASES[case]
     n, m = s.degrees.shape
     used = _force_workers(monkeypatch, workers)
-    want_count = _dense_count(s.degrees)
+    want_count = dense_count(s.degrees)
     # the default tiles, then tiles of at most three rows, then compare chunks of one or
     # two columns, so that most tiles sum several chunks, the last one partial
     for tile_cells, chunk_cells in ((scoring._TILE_CELLS, scoring._CHUNK_CELLS), (3 * n, scoring._CHUNK_CELLS),
@@ -315,7 +302,7 @@ def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, ca
         monkeypatch.setattr(scoring, "_TILE_CELLS", tile_cells)
         monkeypatch.setattr(scoring, "_CHUNK_CELLS", chunk_cells)
         assert np.array_equal(comparison_table(s, "count").counts, want_count)
-    want = _dense_difference(s.degrees).view(np.int64)
+    want = dense_difference(s.degrees).view(np.int64)
     # the default budget, then five rows of differences at a time
     for block_cells in (scoring._BLOCK_CELLS, 5 * n * m):
         monkeypatch.setattr(scoring, "_BLOCK_CELLS", block_cells)
@@ -323,17 +310,11 @@ def test_row_block_tables_equal_dense_tensor_on_any_worker_count(monkeypatch, ca
     assert used == [min(workers, n)] * 4 + [min(workers, n, 5)]
 
 
-def _saturation(s):
-    """Per cell, whether its row wins every comparison in its column; computed from the degrees."""
-    d = s.degrees
-    return (d[:, None, :] >= d[None, :, :] - COMPARISON_EPSILON).all(axis=1)
-
-
 @pytest.mark.parametrize("case", sorted(PARALLEL_CASES))
 def test_count_tiles_skip_only_the_columns_every_row_of_the_tile_wins(case):
     s = PARALLEL_CASES[case]
     n, m = s.degrees.shape
-    sat = _saturation(s)
+    sat = dense_saturation(s)
     values, codes = s.levels
     q = np.take(values.searchsorted(values - COMPARISON_EPSILON), codes.T)
     assert np.array_equal(codes >= q.max(axis=1), sat)
@@ -380,9 +361,9 @@ def test_shares_cut_the_rows_into_even_costs(monkeypatch, mode, case, budget_row
     monkeypatch.setattr(scoring, "_fill_row_blocks", lambda f, js: (jobs.extend(js), fill(f, js)))
     counts = comparison_table(s, mode).counts
     if mode == "count":
-        assert np.array_equal(counts, _dense_count(s.degrees))
+        assert np.array_equal(counts, dense_count(s.degrees))
     else:
-        assert np.array_equal(counts.view(np.int64), _dense_difference(s.degrees).view(np.int64))
+        assert np.array_equal(counts.view(np.int64), dense_difference(s.degrees).view(np.int64))
     shares = [[(tile[0], tile[1], len(tile[2])) for tile in job[0]] for job in jobs]
     # one worker a row; difference mode never more than it has budgeted rows
     assert len(shares) == min(workers, n, budget_rows or n)
@@ -398,7 +379,7 @@ def test_shares_cut_the_rows_into_even_costs(monkeypatch, mode, case, budget_row
         assert [job[1].shape for job in jobs] == [(max(b - a for a, b, _ in share), n, m) for share in shares]
         assert sum(job[1].shape[0] for job in jobs) <= (budget_rows or n)
     if case == "one-dominant-pattern":  # its 290-row tile was split between workers
-        order, tiles = scoring._pattern_tiles(_saturation(s), max(1, scoring._TILE_CELLS // n))
+        order, tiles = scoring._pattern_tiles(dense_saturation(s), max(1, scoring._TILE_CELLS // n))
         assert max(b - a for a, b, _ in tiles) == 290 > n / workers + 1
 
 
@@ -425,8 +406,8 @@ def test_count_table_compares_fewer_cells_than_the_dense_tensor(monkeypatch, csv
     counts = comparison_table(prod, "count").counts
     monkeypatch.undo()
     assert (n, m) == (116, 432)
-    assert np.array_equal(counts, _dense_count(prod.degrees))
-    assert round(_saturation(prod).mean(), 3) == 0.531
+    assert np.array_equal(counts, dense_count(prod.degrees))
+    assert round(dense_saturation(prod).mean(), 3) == 0.531
     # two thirds of n * n * m = 5,812,992: the 30 row patterns merge into tiles of at least 16 rows
     assert counting.cells == 3_873_936
 
@@ -434,12 +415,12 @@ def test_count_table_compares_fewer_cells_than_the_dense_tensor(monkeypatch, csv
 def test_row_block_threads_under_frequent_switches_lose_no_cell(monkeypatch):
     # more workers than cores, each making many small numpy calls into one shared table
     rng = np.random.default_rng(14)
-    s = _soft_set(np.round(rng.random((211, 57)), 1))
-    want_count, want_difference = _dense_count(s.degrees), _dense_difference(s.degrees).view(np.int64)
+    s = soft_set(np.round(rng.random((211, 57)), 1))
+    want_count, want_difference = dense_count(s.degrees), dense_difference(s.degrees).view(np.int64)
     # and tables whose tiles skip saturated columns, in tiles of up to 7, 13, 16 and 2 rows
     saturated = [PARALLEL_CASES[c] for c in ("partition-max-product", "patterns-merged-across-the-floor", "top-tied-within-eps",
                                              "one-dominant-pattern")]
-    want_saturated = [_dense_count(t.degrees) for t in saturated]
+    want_saturated = [dense_count(t.degrees) for t in saturated]
     _force_workers(monkeypatch, 7)
     monkeypatch.setattr(scoring, "_TILE_CELLS", 4 * 211)
     monkeypatch.setattr(scoring, "_BLOCK_CELLS", 7 * 211 * 57)
@@ -462,7 +443,7 @@ def test_row_blocks_run_on_threads_only_above_the_threshold(monkeypatch):
     real = concurrent.futures.ThreadPoolExecutor
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda k: pools.append(k) or real(k))
     monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
-    s = _soft_set(np.round(np.random.default_rng(13).random((64, 4096)), 1))
+    s = soft_set(np.round(np.random.default_rng(13).random((64, 4096)), 1))
     assert 64 * 64 * 4096 == scoring._PARALLEL_TESTS
     for mode in MODES:
         comparison_table(s, mode)
@@ -505,7 +486,7 @@ def test_a_failing_row_block_raises_its_own_error_after_every_job_finishes(faili
 
 def test_count_buffers_are_bounded_by_their_tiles(monkeypatch):
     # two workers each buffering their whole 1500-row share would hold 18 MB besides the table
-    s = _soft_set(np.round(np.random.default_rng(6).random((3000, 8)), 2))
+    s = soft_set(np.round(np.random.default_rng(6).random((3000, 8)), 2))
     used = _force_workers(monkeypatch, 2)
     tracemalloc.start()
     try:
@@ -523,7 +504,7 @@ def test_difference_table_memory_is_bounded(monkeypatch, workers):
     # the dense n x n x m float64 tensor would be about 3.5 GB here
     if workers is not None:
         monkeypatch.setattr(scoring, "_usable_cpus", lambda: workers)
-    s = _soft_set(np.random.default_rng(5).random((1000, 432)))
+    s = soft_set(np.random.default_rng(5).random((1000, 432)))
     tracemalloc.start()
     try:
         comparison_table(s, "difference")
@@ -568,9 +549,7 @@ def test_scores_sum_to_zero_on_random_tables():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
-        s = FuzzySoftSet(
-            tuple(f"o{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), rng.random((n, m))
-        )
+        s = soft_set(rng.random((n, m)))
         for mode in ("count", "difference"):
             report = scores(comparison_table(s, mode))
             assert abs(float(report.scores.sum())) < 1e-9
@@ -673,9 +652,7 @@ def test_difference_scores_are_twice_centered_choice_values():
     for _ in range(20):
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 13))
         degrees = rng.random((n, m))
-        s = FuzzySoftSet(
-            tuple(f"o{i}" for i in range(n)), tuple(f"e{j}" for j in range(m)), degrees
-        )
+        s = soft_set(degrees)
         report = scores(comparison_table(s, "difference"))
         f = degrees.sum(axis=1)
         assert np.allclose(report.scores, 2 * (n * f - f.sum()))

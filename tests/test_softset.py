@@ -17,6 +17,7 @@ from fuzzysoft import (
 )
 from fuzzysoft.scoring import ComparisonTable
 from fuzzysoft.text import FixedPoint, csv_field, grid_chunks, table_chunks
+from reference import per_cell_table
 
 MU = "μ_"
 X = "×"
@@ -274,20 +275,6 @@ def test_product_permutation_equivariance(computed_sets):
 _EDGE_VALUES = [-0.0, 0.0, 1e-7, 0.5, 1.0, 1 / 3, 0.1 + 0.2, 5e-324, 0.9999995]
 
 
-def _per_cell_table(s, decimals=None):
-    """``to_table`` as it was before value deduplication: one format call per cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("object",) + s.parameters)
-    for i, oid in enumerate(s.universe):
-        if decimals is None:
-            row = [repr(v) for v in s.degrees[i].tolist()]
-        else:
-            row = [f"{v:.{decimals}f}" for v in s.degrees[i].tolist()]
-        writer.writerow([oid] + row)
-    return buf.getvalue()
-
-
 def _edge_set(n=13, m=11, ids=None):
     rng = np.random.default_rng(n * m)
     degrees = rng.choice(np.array(_EDGE_VALUES + list(rng.random(6))), size=(n, m))
@@ -306,7 +293,7 @@ def test_to_table_equals_per_cell_formatting(monkeypatch, block_cells, decimals)
         _edge_set(), _edge_set(len(_QUOTED_IDS), 1, _QUOTED_IDS), _edge_set(3, 0),
         _edge_set(len(_QUOTED_IDS), 0, _QUOTED_IDS),
     ):
-        assert to_table(s, decimals) == _per_cell_table(s, decimals)
+        assert to_table(s, decimals) == per_cell_table(s, decimals)
 
 
 def test_to_table_keeps_signed_zero_apart():
@@ -328,7 +315,7 @@ def test_product_tying_signed_zeros_renders_its_float_degrees(monkeypatch, block
     zeros = prod.degrees == 0.0
     assert np.signbit(prod.degrees[zeros]).any() and not np.signbit(prod.degrees[zeros]).all()
     assert len(set(prod.levels.codes[zeros].tolist())) == 1
-    assert to_table(prod, decimals) == _per_cell_table(prod, decimals)
+    assert to_table(prod, decimals) == per_cell_table(prod, decimals)
 
 
 def test_levels_are_the_sorted_distinct_degrees():

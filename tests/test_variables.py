@@ -13,7 +13,6 @@ from fuzzysoft import (
     Cohort,
     ConfigError,
     DataError,
-    default_variable_specs,
     errata_report,
     fuzzify_cohort,
     load_csv,
@@ -21,15 +20,9 @@ from fuzzysoft import (
     specs_to_json,
 )
 from fuzzysoft.softset import FuzzySoftSet
+from reference import fuzzify_value
 
 MU = "μ_"
-
-
-def fuzzify_value(spec, x):
-    """Degrees of ``x`` in every partition of ``spec``, keyed by partition code,
-    from a one-record cohort."""
-    (s,) = fuzzify_cohort(Cohort(("x",), {spec.column: [x]}, (PATIENT,)), [spec])
-    return dict(zip(spec.codes, s.degrees[0].tolist()))
 
 
 def test_five_specs_with_seventeen_labels(specs):
